@@ -4,7 +4,7 @@ Best-first search over partial attribute-function assignments. The driver
 holds only the bounded frontier (queue width rho); every data-proportional
 step runs as a Spark DataFrame computation:
 
-* state evaluation    -> blocking.block_overlap / evaluate_pairs
+* state evaluation    -> blocking.state_overlap / evaluate_pairs
 * attribute ordering  -> blocking.indeterminacy
 * example sampling    -> candidates.sample_examples
 * greedy value maps   -> alignment.sample_random_alignment + greedy_map
@@ -15,25 +15,20 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 
 from . import blocking
 from .alignment import greedy_map, greedy_maps_bulk, sample_random_alignment
-from .blocking import block_overlap, evaluate_pairs, indeterminacy, with_block_key
-from .candidates import (
-    induce_attr_candidates,
-    sample_examples,
-    sampled_block_filter,
-    scaled_support,
-)
+from .blocking import evaluate_pairs, indeterminacy, with_block_key
+from .candidates import induce_attr_candidates, sample_examples, scaled_support
 from .explanation import Explanation, explanation_from_state, trivial_explanation
 from .functions import Identity, TransformFunction
 from .overlap_init import overlap_start_state
 from .queue import BoundedLevelQueue
 from .state import MAP_MARKER, UNDECIDED, Problem, SearchState, state_cost
-from .stats import cochran_sample_size, sample_size_for_support
+from .stats import sample_size_for_support
 
 __all__ = ["AffidavitConfig", "SearchDiagnostics", "run_affidavit"]
 
@@ -60,11 +55,14 @@ class AffidavitConfig:
     max_block_rows: int = 50
     max_candidates: int = 24
     base_support: int = 5
-    use_sampled_ranking: bool = False
 
 
 @dataclass
 class SearchDiagnostics:
+    """``stop_reason`` says why the main loop ended: 'end_state' (an end
+    state was polled), 'queue_empty' or 'max_polls'. Only 'end_state'
+    yields a searched explanation; the other two return E_empty."""
+
     polls: int = 0
     generated: int = 0
     runtime_s: float = 0.0
@@ -72,6 +70,7 @@ class SearchDiagnostics:
     end_state: SearchState | None = None
     start_states: int = 0
     finalized: int = 0
+    stop_reason: str = ""
 
 
 class _Search:
@@ -81,7 +80,6 @@ class _Search:
         self.k = sample_size_for_support(
             config.theta, config.confidence, config.base_support
         )
-        self.k_prime = cochran_sample_size(config.theta)
         self.diag = SearchDiagnostics()
         self._seed_ctr = 0
 
@@ -202,13 +200,7 @@ class _Search:
             pairs.extend((i, f) for f in cands)
             pairs.append((i, g))
 
-        if self.cfg.use_sampled_ranking:
-            s_eval, t_eval = sampled_block_filter(
-                s_keyed, t_keyed, k_prime=self.k_prime, seed=self._seed()
-            )
-        else:
-            s_eval, t_eval = s_keyed, t_keyed
-        overlaps = evaluate_pairs(self.p, s_eval, t_eval, pairs)
+        overlaps = evaluate_pairs(self.p, s_keyed, t_keyed, pairs)
         m_of = {
             (i, f.signature()): m for (i, f), m in zip(pairs, overlaps)
         }
@@ -274,10 +266,12 @@ class _Search:
                 self.diag.generated += 1
                 q.push(ext, ext.cost, ext.level)
 
-        if end is None:
-            expl = trivial_explanation(self.p)
-        else:
+        if end is not None:
+            self.diag.stop_reason = "end_state"
             expl = explanation_from_state(self.p, end)
+        else:
+            self.diag.stop_reason = "max_polls" if len(q) else "queue_empty"
+            expl = trivial_explanation(self.p)
         self.diag.end_state = end
         self.diag.runtime_s = time.perf_counter() - t0
         return expl, self.diag
@@ -287,5 +281,6 @@ def run_affidavit(
     problem: Problem, config: AffidavitConfig | None = None
 ) -> tuple[Explanation, SearchDiagnostics]:
     """Solve one Explain-Table-Delta instance; returns the explanation the
-    search affirms plus diagnostics (polls, runtime, end state)."""
+    search affirms plus diagnostics (polls, runtime, end state, and why the
+    search stopped)."""
     return _Search(problem, config or AffidavitConfig()).run()

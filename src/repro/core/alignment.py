@@ -12,6 +12,7 @@ it is the fallback Finalize uses to resolve MAP_MARKER attributes.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 from pyspark.sql import DataFrame, Window
@@ -20,7 +21,7 @@ from pyspark.sql import functions as F
 from .blocking import BK
 from .functions import ValueMapping
 
-__all__ = ["sample_random_alignment", "greedy_map", "greedy_map_from_alignment"]
+__all__ = ["sample_random_alignment", "greedy_maps_bulk", "greedy_map"]
 
 S_PREFIX = "s__"
 T_PREFIX = "t__"
@@ -54,9 +55,9 @@ def sample_random_alignment(
 def greedy_maps_bulk(aligned: DataFrame, attrs: list[str]) -> dict[str, ValueMapping]:
     """Greedy maps for several attributes in ONE aggregation pass: melt the
     aligned pairs to (attr, source value, target value), count
-    co-occurrences, and take the per-(attr, source value) argmax."""
-    from functools import reduce
-
+    co-occurrences, and take the per-(attr, source value) argmax. Null
+    values on either side are excluded (they carry no mapping
+    information)."""
     if not attrs:
         return {}
     parts = [
@@ -80,24 +81,6 @@ def greedy_maps_bulk(aligned: DataFrame, attrs: list[str]) -> dict[str, ValueMap
     return {a: ValueMapping(tuple(sorted(entries[a]))) for a in attrs}
 
 
-def greedy_map_from_alignment(aligned: DataFrame, attr: str) -> ValueMapping:
-    """Greedy map for ``attr``: argmax-co-occurrence target value per
-    source value over the aligned pairs. Null values on either side are
-    excluded (they carry no mapping information)."""
-    sc, tc = S_PREFIX + attr, T_PREFIX + attr
-    co = (
-        aligned.where(F.col(sc).isNotNull() & F.col(tc).isNotNull())
-        .groupBy(sc, tc)
-        .agg(F.count("*").alias("__n"))
-    )
-    w = Window.partitionBy(sc).orderBy(F.desc("__n"), F.asc(tc))
-    best = co.withColumn("__r", F.row_number().over(w)).where(F.col("__r") == 1)
-    entries = tuple(
-        sorted((r[sc], r[tc]) for r in best.select(sc, tc).collect())
-    )
-    return ValueMapping(entries)
-
-
 def greedy_map(
     s_keyed: DataFrame,
     t_keyed: DataFrame,
@@ -108,4 +91,4 @@ def greedy_map(
     """Convenience: sample an alignment and induce the greedy map for one
     attribute (used by Finalize, which re-samples after every assignment)."""
     aligned = sample_random_alignment(s_keyed, t_keyed, [attr], seed=seed)
-    return greedy_map_from_alignment(aligned, attr)
+    return greedy_maps_bulk(aligned, [attr])[attr]

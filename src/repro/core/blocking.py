@@ -27,7 +27,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from .functions import TransformFunction
-from .state import Problem, SearchState, UNDECIDED
+from .state import Problem, SearchState
 
 __all__ = [
     "BK",

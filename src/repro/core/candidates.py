@@ -9,10 +9,9 @@ induced from each source value in the same block; a candidate's *support*
 is the number of distinct sampled targets that generated it. Candidates
 below the (proportionally scaled) support threshold are filtered out.
 
-Ranking uses block-level histogram overlap. ``evaluate_pairs`` (blocking.py)
-computes it exactly in one pass; ``sampled_block_filter`` restricts both
-snapshots to the blocks of a Cochran-sized source-record sample, giving the
-paper's sampled estimator when exactness is too expensive.
+Ranking uses block-level histogram overlap, which ``evaluate_pairs``
+(blocking.py) computes exactly in one pass instead of estimating it from a
+Cochran-sized sample as §4.4.3 does (DESIGN.md note 4).
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ __all__ = [
     "sample_examples",
     "induce_attr_candidates",
     "scaled_support",
-    "sampled_block_filter",
 ]
 
 
@@ -116,27 +114,3 @@ def induce_attr_candidates(
     kept = [(f, n) for f, n in support.items() if n >= min_support]
     kept.sort(key=lambda fn: (-fn[1], fn[0].psi, fn[0].signature()))
     return kept[:max_candidates]
-
-
-def sampled_block_filter(
-    s_keyed: DataFrame,
-    t_keyed: DataFrame,
-    *,
-    k_prime: int,
-    seed: int,
-) -> tuple[DataFrame, DataFrame]:
-    """Restrict both keyed snapshots to the blocks of a k'-sized random
-    source-record sample (Cochran's formula chooses k'; §4.4.3). Overlaps
-    computed on the result estimate the full-data overlaps."""
-    bks = [
-        r[BK]
-        for r in s_keyed.select(BK)
-        .orderBy(F.rand(seed))
-        .limit(k_prime)
-        .distinct()
-        .collect()
-    ]
-    return (
-        s_keyed.where(F.col(BK).isin(bks)),
-        t_keyed.where(F.col(BK).isin(bks)),
-    )

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .blocking import NULL_SENT, SEP, _transform_udf
+from .blocking import BK, with_block_key
 from .functions import Identity, TransformFunction
 from .state import RID, Problem, SearchState
 
 __all__ = ["Explanation", "explanation_from_functions", "trivial_explanation"]
-
-FULL_KEY = "__fk"
 
 
 @dataclass
@@ -44,27 +42,6 @@ class Explanation:
         lt = self.n_attrs * self.n_inserted
         return 2 * alpha * lt + 2 * (1 - alpha) * lf
 
-    @property
-    def is_valid_shape(self) -> bool:
-        """|S^E| = |T^E| holds by construction; sanity accessor for tests."""
-        return self.core_size >= 0
-
-
-def _with_full_key(
-    df: DataFrame,
-    functions: tuple[TransformFunction, ...],
-    attrs: list[str],
-    *,
-    is_source: bool,
-) -> DataFrame:
-    cols = []
-    for a, f in zip(attrs, functions):
-        c = F.col(a)
-        if is_source and not isinstance(f, Identity):
-            c = _transform_udf(f)(c)
-        cols.append(F.coalesce(c, F.lit(NULL_SENT)))
-    return df.withColumn(FULL_KEY, F.concat_ws(SEP, *cols))
-
 
 def explanation_from_functions(
     problem: Problem,
@@ -76,17 +53,20 @@ def explanation_from_functions(
     maximal valid explanation for the given attribute functions."""
     if len(functions) != problem.n_attrs:
         raise ValueError("need one function per attribute")
-    s = _with_full_key(problem.source, functions, problem.attrs, is_source=True)
-    t = _with_full_key(problem.target, functions, problem.attrs, is_source=False)
-    sw = Window.partitionBy(FULL_KEY).orderBy(F.rand(seed))
-    tw = Window.partitionBy(FULL_KEY).orderBy(F.rand(seed + 1))
+    # With every attribute decided, the block key of Def. 4.3 is the full
+    # (transformed) tuple, so blocks are exactly the identical-tuple groups.
+    state = SearchState(tuple(functions))
+    s = with_block_key(problem.source, state, problem.attrs, is_source=True)
+    t = with_block_key(problem.target, state, problem.attrs, is_source=False)
+    sw = Window.partitionBy(BK).orderBy(F.rand(seed))
+    tw = Window.partitionBy(BK).orderBy(F.rand(seed + 1))
     s_ranked = s.select(
-        F.col(RID).alias("s_rid"), FULL_KEY
+        F.col(RID).alias("s_rid"), BK
     ).withColumn("__rn", F.row_number().over(sw))
     t_ranked = t.select(
-        F.col(RID).alias("t_rid"), FULL_KEY
+        F.col(RID).alias("t_rid"), BK
     ).withColumn("__rn", F.row_number().over(tw))
-    pairs = s_ranked.join(t_ranked, [FULL_KEY, "__rn"]).select("s_rid", "t_rid")
+    pairs = s_ranked.join(t_ranked, [BK, "__rn"]).select("s_rid", "t_rid")
     pairs = pairs.cache()
     core = pairs.count()
     return Explanation(

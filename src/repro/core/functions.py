@@ -19,6 +19,7 @@ its generating example.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -314,9 +315,11 @@ class ValueMapping(TransformFunction):
         mapped = s.map(d)
         return mapped.where(mapped.notna(), s)
 
-    def __repr__(self):  # entries can be large; keep signatures bounded
-        h = hash(self.entries)
-        return f"ValueMapping(n={len(self.entries)}, h={h})"
+    def __repr__(self):
+        # Entries can be large, so the signature carries a content digest;
+        # unlike ``hash()`` it does not change with the Python hash salt.
+        h = hashlib.blake2b(repr(self.entries).encode(), digest_size=8)
+        return f"ValueMapping(n={len(self.entries)}, h={h.hexdigest()})"
 
 
 def _common_suffix_len(a: str, b: str) -> int:

@@ -56,6 +56,7 @@ def test_running_example_learns_paper_functions(i1, i1_result):
 def test_running_example_diagnostics(i1_result):
     _, diag = i1_result
     assert diag.end_state is not None and diag.end_state.is_end
+    assert diag.stop_reason == "end_state"
     assert diag.polls >= 1
     assert diag.start_states == 7  # one per attribute for H^id
 
@@ -116,16 +117,17 @@ def test_empty_start_runs(spark):
     assert expl.core_size == 8
 
 
-def test_sampled_ranking_mode(spark):
-    rows = [(f"k{i}", f"v{i % 3}") for i in range(12)]
+def test_max_polls_stop_is_reported(spark):
+    """A search cut by ``max_polls`` says so and returns E_empty."""
+    rows = [(f"k{i}", f"v{i % 3}") for i in range(6)]
     p = make_problem(spark, ["k", "v"], rows, rows)
-    expl, _ = run_affidavit(
-        p,
-        AffidavitConfig(
-            start="id", beta=1, queue_width=1, seed=0, use_sampled_ranking=True
-        ),
+    expl, diag = run_affidavit(
+        p, AffidavitConfig(start="id", beta=1, queue_width=1, seed=0, max_polls=1)
     )
-    assert expl.core_size == 12
+    assert diag.polls == 1
+    assert diag.stop_reason == "max_polls"
+    assert diag.end_state is None
+    assert expl.core_size == 0 and expl.n_inserted == 6
 
 
 def test_unknown_start_raises(spark):

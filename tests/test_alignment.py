@@ -3,11 +3,10 @@ import pytest
 
 from repro.core.alignment import (
     greedy_map,
-    greedy_map_from_alignment,
     greedy_maps_bulk,
     sample_random_alignment,
 )
-from repro.core.blocking import BK, with_block_key
+from repro.core.blocking import with_block_key
 from repro.core.functions import Identity, ValueMapping
 from repro.core.state import UNDECIDED, SearchState
 
@@ -48,7 +47,7 @@ def test_alignment_deterministic_in_seed(keyed):
 def test_greedy_map_argmax_cooccurrence(keyed):
     _, s, t = keyed
     aligned = sample_random_alignment(s, t, ["v"], seed=1)
-    g = greedy_map_from_alignment(aligned, "v")
+    g = greedy_maps_bulk(aligned, ["v"])["v"]
     d = dict(g.entries)
     # 'a' co-occurs with 'A' twice at most once with 'B'; argmax -> 'A'
     assert d["a"] == "A"
@@ -56,12 +55,16 @@ def test_greedy_map_argmax_cooccurrence(keyed):
 
 
 def test_greedy_maps_bulk_matches_single(keyed):
+    """Several attributes in one pass give each attribute the map its
+    one-attribute pass (the case ``greedy_map`` runs) gives."""
     _, s, t = keyed
     aligned = sample_random_alignment(s, t, ["g", "v"], seed=5).cache()
     bulk = greedy_maps_bulk(aligned, ["g", "v"])
-    assert bulk["v"] == greedy_map_from_alignment(aligned, "v")
-    assert bulk["g"] == greedy_map_from_alignment(aligned, "g")
+    assert bulk["v"] == greedy_maps_bulk(aligned, ["v"])["v"]
+    assert bulk["g"] == greedy_maps_bulk(aligned, ["g"])["g"]
     assert bulk["g"].entries == (("x", "x"), ("y", "y"))
+    assert dict(bulk["v"].entries)["a"] == "A"
+    aligned.unpersist()
 
 
 def test_greedy_maps_bulk_empty():

@@ -1,15 +1,13 @@
-"""Candidate induction from in-block examples (§4.4.2) and the Cochran
-sampling helper (§4.4.3)."""
+"""Candidate induction from in-block examples (§4.4.2)."""
 import pytest
 
 from repro.core.blocking import BK, with_block_key
 from repro.core.candidates import (
     induce_attr_candidates,
     sample_examples,
-    sampled_block_filter,
     scaled_support,
 )
-from repro.core.functions import Identity, Scale, Uppercasing
+from repro.core.functions import Identity, Scale
 from repro.core.state import UNDECIDED, SearchState
 
 from .util import make_problem
@@ -81,10 +79,3 @@ def test_induce_attr_candidates_max_candidates(keyed):
     cands = induce_attr_candidates(sample, "v", min_support=1, max_candidates=3)
     assert len(cands) <= 3
 
-
-def test_sampled_block_filter_subset(keyed):
-    _, s, t = keyed
-    s2, t2 = sampled_block_filter(s, t, k_prime=2, seed=3)
-    bks = {r[BK] for r in s2.select(BK).distinct().collect()}
-    assert 1 <= len(bks) <= 2
-    assert {r[BK] for r in t2.select(BK).distinct().collect()} <= bks | set()

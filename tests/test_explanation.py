@@ -12,10 +12,10 @@ from repro.core.functions import (
     Identity,
     PrefixReplacement,
     Scale,
+    Uppercasing,
     ValueMapping,
 )
 from repro.bench.running_example import (
-    ATTRS,
     E1_CORE_SIZE,
     E1_COST,
     E1_DELETED,
@@ -128,6 +128,30 @@ def test_identity_functions_match_oracle_intersection(spark):
              t AS (SELECT x, y, count(*) AS c FROM tgt GROUP BY x, y)
         SELECT CAST(coalesce(sum(least(s.c, t.c)), 0) AS BIGINT) AS core
         FROM s JOIN t USING (x, y)
+    """
+    assert_equivalent(
+        spark.createDataFrame([(e.core_size,)], "core bigint"),
+        sql,
+        src=pd.DataFrame(src, columns=["x", "y"]),
+        tgt=pd.DataFrame(tgt, columns=["x", "y"]),
+    )
+
+
+def test_transformed_nulls_match_oracle_intersection(spark):
+    """Core size with a non-identity source function and null cells ==
+    DuckDB bag-intersection of the transformed source with the target,
+    grouping on the column tuple (null matches null)."""
+    src = [("a", "1"), ("a", "1"), ("b", None), ("c", "3"), ("B", "2")]
+    tgt = [("A", "1"), ("B", None), ("B", None), ("D", "4"), ("b", "2")]
+    p = make_problem(spark, ["x", "y"], src, tgt)
+    e = explanation_from_functions(p, (Uppercasing(), Identity()))
+    assert e.core_size == 2  # (A, 1) once and (B, null) once
+    sql = """
+        WITH s AS (SELECT upper(x) AS x, y, count(*) AS c FROM src GROUP BY 1, 2),
+             t AS (SELECT x, y, count(*) AS c FROM tgt GROUP BY x, y)
+        SELECT CAST(coalesce(sum(least(s.c, t.c)), 0) AS BIGINT) AS core
+        FROM s JOIN t
+          ON s.x IS NOT DISTINCT FROM t.x AND s.y IS NOT DISTINCT FROM t.y
     """
     assert_equivalent(
         spark.createDataFrame([(e.core_size,)], "core bigint"),

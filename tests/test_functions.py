@@ -1,10 +1,16 @@
 """Unit tests for the Table 1 meta-function library and single-example
 induction (no Spark needed)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.functions import (
     Addition,
     BackCharTrimming,
@@ -264,6 +270,24 @@ def test_signature_stable_and_distinct():
         ValueMapping((("a", "b"),)).signature()
         != ValueMapping((("a", "c"),)).signature()
     )
+
+
+def test_value_mapping_signature_ignores_hash_salt():
+    """Two interpreters with different hash salts give one signature."""
+    code = (
+        "from repro.core.functions import ValueMapping;"
+        "print(ValueMapping((('a', 'b'), ('c', 'd'))).signature())"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outs = set()
+    for salt in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outs.add(run.stdout.strip())
+    assert len(outs) == 1
 
 
 def test_functions_hashable_and_eq():

@@ -53,9 +53,12 @@ def test_scaled_block_threshold():
 
 
 def test_run_cell_smoke(spark):
+    persisted = spark.sparkContext._jsc.getPersistentRDDs().size()
     row = run_cell(
         spark, "iris", (0.3, 0.3), "Hs", n_instances=1, seed=5, n_rows=120
     )
+    # the cell releases what its search and explanation cached
+    assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
     assert row.dataset == "iris" and row.config == "Hs"
     assert row.measured.t > 0
     assert 0 <= row.measured.acc <= 1
