@@ -52,9 +52,6 @@ class AffidavitConfig:
     max_block_size: int = 100_000
     seed: int = 0
     max_polls: int = 1000
-    max_block_rows: int = 50
-    max_candidates: int = 24
-    base_support: int = 5
 
 
 @dataclass
@@ -77,9 +74,7 @@ class _Search:
     def __init__(self, problem: Problem, config: AffidavitConfig):
         self.p = problem
         self.cfg = config
-        self.k = sample_size_for_support(
-            config.theta, config.confidence, config.base_support
-        )
+        self.k = sample_size_for_support(config.theta, config.confidence)
         self.diag = SearchDiagnostics()
         self._seed_ctr = 0
 
@@ -136,18 +131,9 @@ class _Search:
                 s_keyed, t_keyed, und_names, seed=self._seed()
             ).cache()
             sample = sample_examples(
-                s_keyed,
-                t_keyed,
-                und_names,
-                k=self.k,
-                seed=self._seed(),
-                max_block_rows=self.cfg.max_block_rows,
+                s_keyed, t_keyed, und_names, k=self.k, seed=self._seed()
             )
-            support = scaled_support(
-                min(len(sample.targets), sample.population),
-                self.k,
-                self.cfg.base_support,
-            )
+            support = scaled_support(len(sample.targets), self.k)
 
             exts: list[SearchState] = []
             boxed: list[int] = []
@@ -188,17 +174,10 @@ class _Search:
         bulk = greedy_maps_bulk(aligned, [attrs[i] for i in batch])
         greedy: dict[int, TransformFunction] = {i: bulk[attrs[i]] for i in batch}
         for i in batch:
-            a = attrs[i]
-            g = greedy[i]
-            cands = [
-                f
-                for f, _ in induce_attr_candidates(
-                    sample, a, min_support=support, max_candidates=self.cfg.max_candidates
-                )
-            ]
-            per_attr[i] = cands
-            pairs.extend((i, f) for f in cands)
-            pairs.append((i, g))
+            cands = induce_attr_candidates(sample, attrs[i], min_support=support)
+            per_attr[i] = [f for f, _ in cands]
+            pairs.extend((i, f) for f in per_attr[i])
+            pairs.append((i, greedy[i]))
 
         overlaps = evaluate_pairs(self.p, s_keyed, t_keyed, pairs)
         m_of = {

@@ -1,8 +1,8 @@
 """Random block-respecting alignments and greedy value maps (paper §4.3).
 
 ``Sample-Random-Alignment`` pairs source and target records uniformly at
-random *within* each block of the current blocking result: both sides get a
-random row number per block and are inner-joined on (block, row number).
+random *within* each block of the current blocking result; it is
+``blocking.pair_in_blocks`` over the raw attribute values of both sides.
 
 ``Induce-Greedy-Map`` turns such an alignment into a value mapping for one
 attribute by mapping every source value to the target value with the
@@ -18,7 +18,7 @@ from typing import Sequence
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .blocking import BK
+from .blocking import BK, pair_in_blocks
 from .functions import ValueMapping
 
 __all__ = ["sample_random_alignment", "greedy_maps_bulk", "greedy_map"]
@@ -41,15 +41,9 @@ def sample_random_alignment(
     replace the attribute's function, so their domain is the raw source
     value).
     """
-    sw = Window.partitionBy(BK).orderBy(F.rand(seed))
-    tw = Window.partitionBy(BK).orderBy(F.rand(seed + 1))
-    s = s_keyed.select(
-        BK, *[F.col(a).alias(S_PREFIX + a) for a in attrs]
-    ).withColumn("__rn", F.row_number().over(sw))
-    t = t_keyed.select(
-        BK, *[F.col(a).alias(T_PREFIX + a) for a in attrs]
-    ).withColumn("__rn", F.row_number().over(tw))
-    return s.join(t, [BK, "__rn"]).drop("__rn")
+    s = s_keyed.select(BK, *[F.col(a).alias(S_PREFIX + a) for a in attrs])
+    t = t_keyed.select(BK, *[F.col(a).alias(T_PREFIX + a) for a in attrs])
+    return pair_in_blocks(s, t, seed)
 
 
 def greedy_maps_bulk(aligned: DataFrame, attrs: list[str]) -> dict[str, ValueMapping]:

@@ -16,6 +16,11 @@ aggregations over these keyed frames:
   source side, builds the per-attribute target histograms once, and joins —
   this is the exact form of the §4.4.3 histogram-overlap ranking, fused
   with the Def. 4.6 cost computation (see DESIGN.md note 4).
+
+Every seeded draw of the search is built here too: ``mixed`` (records of
+blocks the other side has), ``rank_in_blocks``, ``pair_in_blocks`` (§4.3's
+Sample-Random-Alignment and, under an end state, the Prop. 3.6 bijection)
+and ``draw``.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from .functions import TransformFunction
@@ -31,7 +36,12 @@ from .state import Problem, SearchState
 
 __all__ = [
     "BK",
+    "RN",
     "with_block_key",
+    "mixed",
+    "rank_in_blocks",
+    "pair_in_blocks",
+    "draw",
     "block_overlap",
     "indeterminacy",
     "evaluate_pairs",
@@ -39,6 +49,7 @@ __all__ = [
 ]
 
 BK = "__bk"
+RN = "__rn"
 SEP = "\x1f"
 NULL_SENT = "\x00N"
 
@@ -82,6 +93,31 @@ def with_block_key(
     return df.withColumn(BK, F.concat_ws(SEP, *cols))
 
 
+def mixed(df: DataFrame, other: DataFrame) -> DataFrame:
+    """The rows of ``df`` whose block also occurs in ``other``."""
+    return df.join(other.select(BK).distinct(), BK)
+
+
+def rank_in_blocks(df: DataFrame, seed: int) -> DataFrame:
+    """Add ``__rn``: a random row number within each block, drawn with
+    ``seed``. The draw depends on which rows reach it and in what order, so
+    callers filter and project before ranking."""
+    w = Window.partitionBy(BK).orderBy(F.rand(seed))
+    return df.withColumn(RN, F.row_number().over(w))
+
+
+def pair_in_blocks(s: DataFrame, t: DataFrame, seed: int) -> DataFrame:
+    """Pair the rows of ``s`` and ``t`` at random within each block: the
+    i-th ranked row of one side meets the i-th of the other, so a block
+    yields min(#s, #t) pairs and no row is used twice."""
+    return rank_in_blocks(s, seed).join(rank_in_blocks(t, seed + 1), [BK, RN]).drop(RN)
+
+
+def draw(df: DataFrame, k: int, seed: int) -> DataFrame:
+    """Up to ``k`` rows of ``df`` in an order drawn with ``seed``."""
+    return df.orderBy(F.rand(seed)).limit(k)
+
+
 def block_overlap(s_keyed: DataFrame, t_keyed: DataFrame) -> int:
     """M(H): sum over blocks of min(source count, target count)."""
     sc = s_keyed.groupBy(BK).agg(F.count("*").alias("__sc"))
@@ -112,17 +148,11 @@ def indeterminacy(
     attrs = list(attrs)
     if not attrs:
         return {}
-    tgt_bks = t_keyed.select(BK).distinct()
-    src_mixed = s_keyed.join(tgt_bks, BK)
-    per_block = src_mixed.groupBy(BK).agg(
+    per_block = mixed(s_keyed, t_keyed).groupBy(BK).agg(
         *[F.approx_count_distinct(a).alias(a) for a in attrs]
     )
     row = per_block.agg(*[F.max(a).alias(a) for a in attrs]).first()
-    out = {}
-    for a in attrs:
-        v = row[a] if row is not None else None
-        out[a] = float(v) if v is not None else float("inf")
-    return out
+    return {a: float("inf") if row[a] is None else float(row[a]) for a in attrs}
 
 
 def evaluate_pairs(

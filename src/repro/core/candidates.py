@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .blocking import BK
+from .blocking import BK, RN, draw, mixed, rank_in_blocks
 from .functions import TransformFunction, induce_candidates
 
 __all__ = [
@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+MAX_BLOCK_ROWS = 50  # source rows read per sampled block
+MAX_CANDIDATES = 24  # candidates kept per attribute, by support
+BASE_SUPPORT = 5  # ">= 5 times", as in stats.sample_size_for_support
+
+
 @dataclass
 class ExampleSample:
     """Sampled target records plus the (capped) distinct source values of
@@ -39,7 +44,6 @@ class ExampleSample:
 
     targets: list[dict]  # each: {attr: value, BK: key}
     block_source_values: dict[str, dict[str, list]]  # bk -> attr -> values
-    population: int  # number of target records in mixed blocks
 
 
 def sample_examples(
@@ -49,41 +53,33 @@ def sample_examples(
     *,
     k: int,
     seed: int,
-    max_block_rows: int = 50,
+    max_block_rows: int = MAX_BLOCK_ROWS,
 ) -> ExampleSample:
     """Draw up to k target records from mixed blocks together with the
     source values of their blocks (at most ``max_block_rows`` source rows
     per block are considered, keeping the driver-side work bounded on
     coarse early-search blockings)."""
-    src_bks = s_keyed.select(BK).distinct()
-    mixed_tgt = t_keyed.join(src_bks, BK).select(BK, *attrs)
-    sampled = mixed_tgt.orderBy(F.rand(seed)).limit(k).collect()
+    mixed_tgt = mixed(t_keyed, s_keyed).select(BK, *attrs)
+    sampled = draw(mixed_tgt, k, seed).collect()
     if not sampled:
-        return ExampleSample([], {}, 0)
-    pop = len(sampled)  # == min(k, mixed population); enough for support scaling
+        return ExampleSample([], {})
     bks = sorted({r[BK] for r in sampled})
 
-    w = Window.partitionBy(BK).orderBy(F.rand(seed + 1))
+    src = s_keyed.where(F.col(BK).isin(bks)).select(BK, *attrs)
     src_rows = (
-        s_keyed.where(F.col(BK).isin(bks))
-        .select(BK, *attrs)
-        .withColumn("__rn", F.row_number().over(w))
-        .where(F.col("__rn") <= max_block_rows)
-        .collect()
+        rank_in_blocks(src, seed + 1).where(F.col(RN) <= max_block_rows).collect()
     )
     block_vals: dict[str, dict[str, list]] = {bk: {a: [] for a in attrs} for bk in bks}
-    seen: dict[str, dict[str, set]] = {bk: {a: set() for a in attrs} for bk in bks}
     for r in src_rows:
         for a in attrs:
-            v = r[a]
-            if v is not None and v not in seen[r[BK]][a]:
-                seen[r[BK]][a].add(v)
-                block_vals[r[BK]][a].append(v)
+            vals = block_vals[r[BK]][a]  # at most max_block_rows values
+            if r[a] is not None and r[a] not in vals:
+                vals.append(r[a])
     targets = [{**{a: r[a] for a in attrs}, BK: r[BK]} for r in sampled]
-    return ExampleSample(targets, block_vals, pop)
+    return ExampleSample(targets, block_vals)
 
 
-def scaled_support(n_sampled: int, k: int, base_support: int = 5) -> int:
+def scaled_support(n_sampled: int, k: int, base_support: int = BASE_SUPPORT) -> int:
     """Support threshold, scaled down proportionally when fewer than k
     targets exist (DESIGN.md note 3)."""
     if n_sampled >= k:
@@ -96,7 +92,7 @@ def induce_attr_candidates(
     attr: str,
     *,
     min_support: int,
-    max_candidates: int = 24,
+    max_candidates: int = MAX_CANDIDATES,
 ) -> list[tuple[TransformFunction, int]]:
     """Candidate functions for one attribute with their support, filtered
     and sorted by support (descending). Value mappings are never induced

@@ -4,8 +4,10 @@ Given attribute functions F^E, a valid explanation follows by applying F^E
 to every source record, matching transformed source tuples with identical
 target tuples, and enforcing a bijection: within each identical full-tuple
 group the i-th source record (in random-but-deterministic order) matches
-the i-th target record. Unmatched source records are deletions (S^E-),
-unmatched target records insertions (T^E+).
+the i-th target record. Under the end state F^E every attribute is decided,
+so the block key is the full transformed tuple and this bijection is
+``blocking.pair_in_blocks`` over the record ids. Unmatched source records
+are deletions (S^E-), unmatched target records insertions (T^E+).
 
 Costs (Def. 3.10): c(E) = 2*alpha*|A|*|T^E+| + 2*(1-alpha)*sum_a psi(f_a).
 The trivial explanation E_empty (everything deleted+inserted, identity
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .blocking import BK, with_block_key
+from .blocking import BK, pair_in_blocks, with_block_key
 from .functions import Identity, TransformFunction
 from .state import RID, Problem, SearchState
 
@@ -58,16 +60,11 @@ def explanation_from_functions(
     state = SearchState(tuple(functions))
     s = with_block_key(problem.source, state, problem.attrs, is_source=True)
     t = with_block_key(problem.target, state, problem.attrs, is_source=False)
-    sw = Window.partitionBy(BK).orderBy(F.rand(seed))
-    tw = Window.partitionBy(BK).orderBy(F.rand(seed + 1))
-    s_ranked = s.select(
-        F.col(RID).alias("s_rid"), BK
-    ).withColumn("__rn", F.row_number().over(sw))
-    t_ranked = t.select(
-        F.col(RID).alias("t_rid"), BK
-    ).withColumn("__rn", F.row_number().over(tw))
-    pairs = s_ranked.join(t_ranked, [BK, "__rn"]).select("s_rid", "t_rid")
-    pairs = pairs.cache()
+    pairs = pair_in_blocks(
+        s.select(F.col(RID).alias("s_rid"), BK),
+        t.select(F.col(RID).alias("t_rid"), BK),
+        seed,
+    ).select("s_rid", "t_rid").cache()
     core = pairs.count()
     return Explanation(
         functions=tuple(functions),

@@ -1,8 +1,9 @@
 """Problem instances and search states (paper §3, §4.1, §4.5).
 
 A ``Problem`` wraps the two snapshots as Spark DataFrames of strings (one
-column per attribute plus a hidden ``__rid`` record id used only by the
-evaluation metrics, never by the algorithm).
+column per attribute plus a hidden ``__rid`` record id). The metrics and an
+explanation's core pairs use the id, and so does the Hs start state, which
+breaks overlap-score ties by the lowest target id (DESIGN.md §2).
 
 A ``SearchState`` is the paper's H: one slot per attribute holding either
 UNDECIDED ('*'), MAP_MARKER (the square: a value mapping will be resolved

@@ -1,14 +1,15 @@
 """Random block-respecting alignments and greedy value maps (§4.3)."""
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.alignment import (
     greedy_map,
     greedy_maps_bulk,
     sample_random_alignment,
 )
-from repro.core.blocking import with_block_key
+from repro.core.blocking import BK, pair_in_blocks, with_block_key
 from repro.core.functions import Identity, ValueMapping
-from repro.core.state import UNDECIDED, SearchState
+from repro.core.state import RID, UNDECIDED, SearchState
 
 from .util import make_problem
 
@@ -42,6 +43,28 @@ def test_alignment_deterministic_in_seed(keyed):
     a1 = sorted(map(tuple, sample_random_alignment(s, t, ["v"], seed=3).collect()))
     a2 = sorted(map(tuple, sample_random_alignment(s, t, ["v"], seed=3).collect()))
     assert a1 == a2
+
+
+def _pair_rids(s, t, seed):
+    return pair_in_blocks(
+        s.select(BK, "g", F.col(RID).alias("s_rid")),
+        t.select(BK, F.col("g").alias("t_g"), F.col(RID).alias("t_rid")),
+        seed,
+    )
+
+
+def test_pair_in_blocks_respects_blocks(keyed):
+    _, s, t = keyed
+    rows = _pair_rids(s, t, 7).collect()
+    assert len(rows) == 4
+    assert all(r["g"] == r["t_g"] for r in rows)
+
+
+def test_pair_in_blocks_deterministic_in_seed(keyed):
+    _, s, t = keyed
+    p1 = sorted(map(tuple, _pair_rids(s, t, 3).collect()))
+    p2 = sorted(map(tuple, _pair_rids(s, t, 3).collect()))
+    assert p1 == p2
 
 
 def test_greedy_map_argmax_cooccurrence(keyed):

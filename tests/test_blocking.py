@@ -2,17 +2,20 @@
 cross-checked against the DuckDB oracle."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.blocking import (
     BK,
     block_overlap,
     evaluate_pairs,
     indeterminacy,
+    mixed,
+    pair_in_blocks,
     state_overlap,
     with_block_key,
 )
 from repro.core.functions import ConstantValue, Identity, Scale, Uppercasing
-from repro.core.state import UNDECIDED, SearchState
+from repro.core.state import RID, UNDECIDED, SearchState
 from repro.oracle import assert_equivalent
 
 from .util import make_problem
@@ -162,3 +165,67 @@ def test_null_values_block_consistently(spark):
     p = make_problem(spark, ["a", "b"], [(None, "1")], [(None, "1")])
     st = SearchState((Identity(), Identity()))
     assert state_overlap(p, st) == 1
+
+
+# Blocks under identity on k: "x" 3 source / 1 target, the null block 2/3,
+# "d" 3/2 duplicate rows, "s" source only, "t" target only.
+DRAW_SRC = [
+    ("x", "1"), ("x", "2"), ("x", "3"), (None, "4"), (None, "5"),
+    ("d", "7"), ("d", "7"), ("d", "7"), ("s", "9"),
+]
+DRAW_TGT = [
+    ("x", "1"), (None, "4"), (None, "6"), (None, "8"), ("d", "7"), ("d", "7"),
+    ("t", "0"),
+]
+
+
+@pytest.fixture(scope="module")
+def draw_keyed(spark):
+    p = make_problem(spark, ["k", "v"], DRAW_SRC, DRAW_TGT)
+    s, t = _keyed(p, SearchState((Identity(), UNDECIDED)))
+    return s.cache(), t.cache()
+
+
+def _draw_tables():
+    src = pd.DataFrame(DRAW_SRC, columns=["k", "v"], dtype="object")
+    tgt = pd.DataFrame(DRAW_TGT, columns=["k", "v"], dtype="object")
+    src[RID] = range(len(src))
+    tgt[RID] = range(len(tgt))
+    return {"src": src, "tgt": tgt}
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_mixed_matches_semi_join_oracle(draw_keyed, side):
+    s, t = draw_keyed
+    df, other, rest = (s, t, "tgt") if side == "src" else (t, s, "src")
+    sql = f"""
+        SELECT x.{RID} AS rid FROM {side} x
+        WHERE EXISTS (SELECT 1 FROM {rest} y WHERE y.k IS NOT DISTINCT FROM x.k)
+    """
+    got = mixed(df, other).select(F.col(RID).alias("rid"))
+    assert_equivalent(got, sql, **_draw_tables())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pair_in_blocks_pairs_min_per_block(draw_keyed, seed):
+    """min(#s, #t) pairs per block (the null block and the block of
+    duplicate rows included), each record used at most once."""
+    s, t = draw_keyed
+    pairs = pair_in_blocks(
+        s.select(BK, F.col(RID).alias("s_rid"), F.col("k").alias("sk")),
+        t.select(BK, F.col(RID).alias("t_rid"), F.col("k").alias("tk")),
+        seed,
+    ).cache()
+    rows = pairs.collect()
+    assert all(r["sk"] == r["tk"] for r in rows)
+    assert len({r["s_rid"] for r in rows}) == len(rows)
+    assert len({r["t_rid"] for r in rows}) == len(rows)
+    sql = """
+        WITH s AS (SELECT k, count(*) AS c FROM src GROUP BY k),
+             t AS (SELECT k, count(*) AS c FROM tgt GROUP BY k)
+        SELECT s.k AS k, CAST(least(s.c, t.c) AS BIGINT) AS n
+        FROM s JOIN t ON s.k IS NOT DISTINCT FROM t.k
+    """
+    got = pairs.groupBy(F.col("sk").alias("k")).agg(F.count("*").alias("n"))
+    assert_equivalent(got, sql, **_draw_tables())
+    pairs.unpersist()

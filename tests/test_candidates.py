@@ -44,7 +44,7 @@ def test_sample_examples_empty_when_no_mixed_blocks(spark):
     s = with_block_key(p.source, st, p.attrs, is_source=True)
     t = with_block_key(p.target, st, p.attrs, is_source=False)
     sample = sample_examples(s, t, ["a"], k=5, seed=0)
-    assert sample.targets == [] and sample.population == 0
+    assert sample.targets == [] and sample.block_source_values == {}
 
 
 def test_scaled_support():

@@ -1,7 +1,10 @@
-"""Every module of the package imports, and every name it lists in
-``__all__`` resolves (no Spark session needed)."""
+"""Every module of the package imports, every name it lists in
+``__all__`` resolves, and no module imports a name it never uses (no Spark
+session needed)."""
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +27,45 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ repeats a name"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module binds by ``import`` and never reads; ``__future__``
+    imports and names listed in ``__all__`` count as used."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{n} (line {ln})" for n, ln in imported.items() if n not in used]
+
+
+SOURCES = sorted(Path(repro.__file__).parent.rglob("*.py"))
+
+
+def test_unused_import_check_flags_a_stray_name():
+    assert _unused_imports("import os\nfrom a import b, c\nc()\n") == [
+        "os (line 1)",
+        "b (line 2)",
+    ]
+    assert _unused_imports("from __future__ import annotations\n") == []
+    assert _unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda p: str(p.relative_to(p.parents[1]))
+)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path.read_text())
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

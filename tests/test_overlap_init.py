@@ -1,10 +1,13 @@
 """Overlap-score start state Hs (§4.2), including the block-size-threshold
 failure mode on low-cardinality data."""
+import numpy as np
+import pandas as pd
 import pytest
 
+from repro.bench.running_example import ATTRS, SOURCE_ROWS, TARGET_ROWS
 from repro.core.functions import Identity
 from repro.core.overlap_init import overlap_start_state
-from repro.core.state import UNDECIDED
+from repro.core.state import RID, UNDECIDED, Problem
 
 from .util import make_problem
 
@@ -60,3 +63,36 @@ def test_mode_score_limits_attribute_count(spark):
     st = overlap_start_state(p)
     assert len(_assigned(p, st)) == 2
     assert "z" not in _assigned(p, st)
+
+
+I1_HS = {"Date", "Type", "Org"}  # Hs on Figure 1's I1 as given
+
+
+def _i1(spark, rng, relabel: bool) -> Problem:
+    """I1 with each snapshot's rows shuffled by ``rng``: first a random
+    relabelling of the record ids is drawn, then a row order, source
+    before target. Without ``relabel`` the ids follow the new positions."""
+    frames = []
+    for rows in (SOURCE_ROWS, TARGET_ROWS):
+        pdf = pd.DataFrame(rows, columns=ATTRS)
+        pdf[RID] = range(len(pdf))
+        new_ids = rng.permutation(len(pdf))
+        pdf = pdf.iloc[rng.permutation(len(pdf))].reset_index(drop=True)
+        pdf[RID] = new_ids[pdf[RID].to_numpy()] if relabel else range(len(pdf))
+        frames.append(spark.createDataFrame(pdf).coalesce(1))
+    return Problem(spark, frames[0], frames[1], list(ATTRS))
+
+
+def test_hs_on_i1_ignores_row_order(spark):
+    p = _i1(spark, np.random.default_rng(304), relabel=False)
+    assert _assigned(p, overlap_start_state(p)) == I1_HS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ties of the a-priori alignment are broken by target record id "
+    "(asc(t_rid)), so relabelling the ids changes Hs (ROADMAP item 2)",
+)
+def test_hs_on_i1_ignores_record_ids(spark):
+    p = _i1(spark, np.random.default_rng(304), relabel=True)
+    assert _assigned(p, overlap_start_state(p)) == I1_HS

@@ -61,7 +61,7 @@ def test_run_cell_smoke(spark):
     assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
     assert row.dataset == "iris" and row.config == "Hs"
     assert row.measured.t > 0
-    assert 0 <= row.measured.acc <= 1
+    assert row.measured.dcosts > 0 and 0 <= row.measured.acc <= 1
     assert row.paper == PAPER["iris"]["Hs"][(0.3, 0.3)]
     text = format_rows([row])
     assert "iris" in text and "Hs" in text
