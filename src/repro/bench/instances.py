@@ -46,11 +46,12 @@ from ..core.functions import (
     format_number,
     parse_number,
 )
-from ..core.state import RID, Problem
+from ..core.state import RID, Problem, mdl_cost
 
 __all__ = ["ProblemInstance", "make_instance", "stringify"]
 
 PK_ATTR = "added_pk"
+MAX_DISTINCT_RATIO = 0.7  # step 1
 
 
 @dataclass
@@ -68,9 +69,8 @@ class ProblemInstance:
     transformed_attrs: tuple[str, ...] = ()
 
     def ref_cost(self, alpha: float = 0.5) -> float:
-        lf = sum(f.psi for f in self.ref_functions)
-        lt = self.problem.n_attrs * self.ref_n_inserted
-        return 2 * alpha * lt + 2 * (1 - alpha) * lf
+        psi = sum(f.psi for f in self.ref_functions)
+        return mdl_cost(self.problem.n_attrs, self.ref_n_inserted, psi, alpha)
 
 
 def stringify(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -159,7 +159,6 @@ def make_instance(
     eta: float,
     tau: float,
     seed: int = 0,
-    max_distinct_ratio: float = 0.7,
 ) -> ProblemInstance:
     """Generate one problem instance per §5.1 (see module docstring)."""
     rng = np.random.default_rng(seed)
@@ -171,7 +170,7 @@ def make_instance(
         col = pdf[c].dropna()
         if len(col) == 0:
             continue
-        if col.nunique() / len(pdf) > max_distinct_ratio:
+        if col.nunique() / len(pdf) > MAX_DISTINCT_RATIO:
             continue
         keep.append(c)
     if not keep:

@@ -4,6 +4,8 @@ Best-first search over partial attribute-function assignments. The driver
 holds only the bounded frontier (queue width rho); every data-proportional
 step runs as a Spark DataFrame computation:
 
+* blocking index      -> blocking.with_block_key (both snapshots, one call
+                         per state; extensions cache the pair for a poll)
 * state evaluation    -> blocking.state_overlap / evaluate_pairs
 * attribute ordering  -> blocking.indeterminacy
 * example sampling    -> candidates.sample_examples
@@ -63,10 +65,8 @@ class SearchDiagnostics:
     polls: int = 0
     generated: int = 0
     runtime_s: float = 0.0
-    init_runtime_s: float = 0.0
     end_state: SearchState | None = None
     start_states: int = 0
-    finalized: int = 0
     stop_reason: str = ""
 
 
@@ -82,44 +82,38 @@ class _Search:
         self._seed_ctr += 1
         return self.cfg.seed * 10_007 + self._seed_ctr
 
-    def _cost(self, cf: int, overlap: int) -> float:
-        return state_cost(self.p, cf, overlap, self.cfg.alpha)
+    def _scored(self, st: SearchState, overlap: int) -> SearchState:
+        """``st`` with its c(H) for M(H) = ``overlap``."""
+        cost = state_cost(self.p, st.cf(), overlap, self.cfg.alpha)
+        return st.with_cost(cost, overlap)
 
     # ------------------------------------------------------------------
     # Initialization (§4.2)
     # ------------------------------------------------------------------
     def init_start_states(self) -> list[SearchState]:
-        d = self.p.n_attrs
-        empty = SearchState(tuple(UNDECIDED for _ in range(d)))
-        if self.cfg.start == "empty":
-            m = min(self.p.n_source, self.p.n_target)  # single block
-            return [empty.with_cost(self._cost(0, m), m)]
+        empty = SearchState((UNDECIDED,) * self.p.n_attrs)
         if self.cfg.start == "id":
-            s_keyed = with_block_key(self.p.source, empty, self.p.attrs, is_source=True)
-            t_keyed = with_block_key(self.p.target, empty, self.p.attrs, is_source=False)
-            pairs = [(i, Identity()) for i in range(d)]
-            overlaps = evaluate_pairs(self.p, s_keyed, t_keyed, pairs)
-            states = []
-            for (i, f), m in zip(pairs, overlaps):
-                st = empty.extend(i, f)
-                states.append(st.with_cost(self._cost(st.cf(), m), m))
-            return states
+            pairs = [(i, Identity()) for i in range(self.p.n_attrs)]
+            overlaps = evaluate_pairs(self.p, *with_block_key(self.p, empty), pairs)
+            return [
+                self._scored(empty.extend(i, f), m)
+                for (i, f), m in zip(pairs, overlaps)
+            ]
         if self.cfg.start == "overlap":
             st = overlap_start_state(self.p, max_block_size=self.cfg.max_block_size)
-            if not st.decided():  # nothing survived the threshold
-                m = min(self.p.n_source, self.p.n_target)
-                return [empty.with_cost(self._cost(0, m), m)]
-            m = blocking.state_overlap(self.p, st)
-            return [st.with_cost(self._cost(st.cf(), m), m)]
-        raise ValueError(f"unknown start strategy {self.cfg.start!r}")
+            if st.decided():
+                return [self._scored(st, blocking.state_overlap(self.p, st))]
+        elif self.cfg.start != "empty":
+            raise ValueError(f"unknown start strategy {self.cfg.start!r}")
+        # H0, and Hs when nothing survived its threshold: a single block
+        return [self._scored(empty, min(self.p.n_source, self.p.n_target))]
 
     # ------------------------------------------------------------------
     # Extensions (Algorithm 1)
     # ------------------------------------------------------------------
     def extensions(self, h: SearchState) -> list[SearchState]:
         attrs = self.p.attrs
-        s_keyed = with_block_key(self.p.source, h, attrs, is_source=True).cache()
-        t_keyed = with_block_key(self.p.target, h, attrs, is_source=False).cache()
+        s_keyed, t_keyed = (df.cache() for df in with_block_key(self.p, h))
         try:
             und = h.undecided_indices()
             und_names = [attrs[i] for i in und]
@@ -187,17 +181,15 @@ class _Search:
         exts: list[SearchState] = []
         for i in batch:
             g = greedy[i]
-            g_cost = self._cost(h.cf() + g.psi, m_of[(i, g.signature())])
+            g_cost = self._scored(h.extend(i, g), m_of[(i, g.signature())]).cost
             scored = []
             for f in per_attr[i]:
-                m = m_of[(i, f.signature())]
-                cost = self._cost(h.cf() + f.psi, m)
-                if cost < g_cost:
-                    scored.append((cost, m, f))
-            scored.sort(key=lambda cmf: (cmf[0], cmf[2].psi, cmf[2].signature()))
+                st = self._scored(h.extend(i, f), m_of[(i, f.signature())])
+                if st.cost < g_cost:
+                    scored.append((st.cost, f.psi, f.signature(), st))
+            scored.sort(key=lambda c: c[:3])
             if scored:
-                for cost, m, f in scored[: self.cfg.beta]:
-                    exts.append(h.extend(i, f).with_cost(cost, m))
+                exts.extend(c[-1] for c in scored[: self.cfg.beta])
             else:
                 boxed.append(i)
         return exts
@@ -209,13 +201,9 @@ class _Search:
         attrs = self.p.attrs
         while st.marker_indices():
             i = st.marker_indices()[0]
-            s_keyed = with_block_key(self.p.source, st, attrs, is_source=True)
-            t_keyed = with_block_key(self.p.target, st, attrs, is_source=False)
-            g = greedy_map(s_keyed, t_keyed, attrs[i], seed=self._seed())
+            g = greedy_map(*with_block_key(self.p, st), attrs[i], seed=self._seed())
             st = st.extend(i, g)
-        m = blocking.state_overlap(self.p, st)
-        self.diag.finalized += 1
-        return st.with_cost(self._cost(st.cf(), m), m)
+        return self._scored(st, blocking.state_overlap(self.p, st))
 
     # ------------------------------------------------------------------
     # Main loop (Algorithm 1)
@@ -228,7 +216,6 @@ class _Search:
             seen.add(st.signature())
             q.push(st, st.cost, st.level)
             self.diag.start_states += 1
-        self.diag.init_runtime_s = time.perf_counter() - t0
 
         end: SearchState | None = None
         while len(q) and self.diag.polls < self.cfg.max_polls:

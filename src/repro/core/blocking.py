@@ -3,19 +3,21 @@
 Decided attributes of a search state define a *blocking index* per record:
 source records are projected through their assigned functions (vectorized
 pandas UDFs), target records through their raw values. Records with equal
-indices share a block. Everything the search needs from the data reduces to
-aggregations over these keyed frames:
+indices share a block. ``with_block_key`` keys both snapshots under a state
+in one call and is the only code that writes the key format. Everything the
+search needs from the data reduces to aggregations over these keyed frames:
 
-* ``block_overlap``  — M(H) = sum over blocks of min(#source, #target);
+* ``state_overlap``  — M(H) = sum over blocks of min(#source, #target);
   the state-cost lower bound ct(H) is |T| - M(H).
 * ``indeterminacy``  — per undecided attribute, the maximum number of
   distinct source values over blocks containing both source and target
   records (§4.3's attribute-ordering estimate).
 * ``evaluate_pairs`` — one-pass evaluation of many candidate extensions
-  (attribute, function): emits the refined block key per candidate on the
-  source side, builds the per-attribute target histograms once, and joins —
-  this is the exact form of the §4.4.3 histogram-overlap ranking, fused
-  with the Def. 4.6 cost computation (see DESIGN.md note 4).
+  (attribute, function): emits (attribute, block, transformed value) per
+  candidate and source record, builds the per-attribute target histograms
+  once, and joins on those three columns — this is the exact form of the
+  §4.4.3 histogram-overlap ranking, fused with the Def. 4.6 cost
+  computation (see DESIGN.md note 4).
 
 Every seeded draw of the search is built here too: ``mixed`` (records of
 blocks the other side has), ``rank_in_blocks``, ``pair_in_blocks`` (§4.3's
@@ -42,7 +44,6 @@ __all__ = [
     "rank_in_blocks",
     "pair_in_blocks",
     "draw",
-    "block_overlap",
     "indeterminacy",
     "evaluate_pairs",
     "state_overlap",
@@ -54,8 +55,8 @@ SEP = "\x1f"
 NULL_SENT = "\x00N"
 
 
-def _coalesced(a: str) -> Column:
-    return F.coalesce(F.col(a), F.lit(NULL_SENT))
+def _coalesced(c: Column) -> Column:
+    return F.coalesce(c, F.lit(NULL_SENT))
 
 
 def _transform_udf(f: TransformFunction):
@@ -67,30 +68,20 @@ def _transform_udf(f: TransformFunction):
     return F.pandas_udf(_apply, "string")
 
 
-def with_block_key(
-    df: DataFrame,
-    state: SearchState,
-    attrs: Sequence[str],
-    *,
-    is_source: bool,
-) -> DataFrame:
-    """Add the blocking-index column ``__bk`` under ``state`` (Def. 4.3).
-
-    Source values flow through the assigned functions; target values are
-    used raw. States with no decided attribute put every record in one
-    block (empty key).
-    """
-    decided = state.decided()
+def with_block_key(problem: Problem, state: SearchState) -> tuple[DataFrame, DataFrame]:
+    """Both snapshots with the blocking-index column ``__bk`` under
+    ``state`` (Def. 4.3): source values flow through the assigned
+    functions, target values are used raw. States with no decided attribute
+    put every record in one block (empty key). This is the only code that
+    writes the key format."""
+    decided = [(problem.attrs[i], f) for i, f in state.decided()]
     if not decided:
-        return df.withColumn(BK, F.lit(""))
-    cols = []
-    for i, f in decided:
-        a = attrs[i]
-        if is_source:
-            cols.append(F.coalesce(_transform_udf(f)(F.col(a)), F.lit(NULL_SENT)))
-        else:
-            cols.append(_coalesced(a))
-    return df.withColumn(BK, F.concat_ws(SEP, *cols))
+        s_key = t_key = F.lit("")
+    else:
+        s_cols = [_coalesced(_transform_udf(f)(F.col(a))) for a, f in decided]
+        s_key = F.concat_ws(SEP, *s_cols)
+        t_key = F.concat_ws(SEP, *[_coalesced(F.col(a)) for a, _ in decided])
+    return problem.source.withColumn(BK, s_key), problem.target.withColumn(BK, t_key)
 
 
 def mixed(df: DataFrame, other: DataFrame) -> DataFrame:
@@ -118,8 +109,9 @@ def draw(df: DataFrame, k: int, seed: int) -> DataFrame:
     return df.orderBy(F.rand(seed)).limit(k)
 
 
-def block_overlap(s_keyed: DataFrame, t_keyed: DataFrame) -> int:
+def state_overlap(problem: Problem, state: SearchState) -> int:
     """M(H): sum over blocks of min(source count, target count)."""
+    s_keyed, t_keyed = with_block_key(problem, state)
     sc = s_keyed.groupBy(BK).agg(F.count("*").alias("__sc"))
     tc = t_keyed.groupBy(BK).agg(F.count("*").alias("__tc"))
     row = (
@@ -128,13 +120,6 @@ def block_overlap(s_keyed: DataFrame, t_keyed: DataFrame) -> int:
         .first()
     )
     return int(row["m"] or 0)
-
-
-def state_overlap(problem: Problem, state: SearchState) -> int:
-    """M(H) computed from scratch for an arbitrary state."""
-    s_keyed = with_block_key(problem.source, state, problem.attrs, is_source=True)
-    t_keyed = with_block_key(problem.target, state, problem.attrs, is_source=False)
-    return block_overlap(s_keyed, t_keyed)
 
 
 def indeterminacy(
@@ -163,9 +148,11 @@ def evaluate_pairs(
 ) -> list[int]:
     """Exact overlap M(H + {attr_i := f_i}) for every candidate extension.
 
-    One source-side mapInPandas emits ``(candidate, attr, refined key)``
-    rows; per-attribute target histograms are built once and joined. The
-    result is M for each pair, aligned with the input order.
+    One source-side mapInPandas emits ``(candidate, attr, __bk, val)``
+    rows, the refined block of each candidate as the state's block plus the
+    transformed value; per-attribute target histograms over ``(attr, __bk,
+    val)`` are built once and joined on those columns. The result is M for
+    each pair, aligned with the input order.
     """
     if not pairs:
         return []
@@ -181,39 +168,30 @@ def evaluate_pairs(
                 continue
             outs = []
             for ci, (a, f) in enumerate(pair_list):
-                vals = f.apply_series(pdf[a]).fillna(NULL_SENT)
+                vals = f.apply_series(pdf[a]).fillna(NULL_SENT).astype(str)
                 outs.append(
-                    pd.DataFrame(
-                        {
-                            "cand": ci,
-                            "attr": a,
-                            "key": pdf[BK].fillna("") + SEP + vals.astype(str),
-                        }
-                    )
+                    pd.DataFrame({"cand": ci, "attr": a, BK: pdf[BK], "val": vals})
                 )
             yield pd.concat(outs, ignore_index=True)
 
     src_counts = (
-        src.mapInPandas(gen, "cand int, attr string, key string")
-        .groupBy("cand", "attr", "key")
+        src.mapInPandas(gen, f"cand int, attr string, {BK} string, val string")
+        .groupBy("cand", "attr", BK, "val")
         .agg(F.count("*").alias("__sc"))
     )
 
     tgt_parts = [
-        t_keyed.select(
-            F.lit(a).alias("attr"),
-            F.concat(F.col(BK), F.lit(SEP), _coalesced(a)).alias("key"),
-        )
+        t_keyed.select(F.lit(a).alias("attr"), BK, _coalesced(F.col(a)).alias("val"))
         for a in needed
     ]
     tgt_counts = (
         reduce(DataFrame.unionByName, tgt_parts)
-        .groupBy("attr", "key")
+        .groupBy("attr", BK, "val")
         .agg(F.count("*").alias("__tc"))
     )
 
     rows = (
-        src_counts.join(tgt_counts, ["attr", "key"])
+        src_counts.join(tgt_counts, ["attr", BK, "val"])
         .groupBy("cand")
         .agg(F.sum(F.least("__sc", "__tc")).alias("m"))
         .collect()

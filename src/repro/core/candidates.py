@@ -53,10 +53,9 @@ def sample_examples(
     *,
     k: int,
     seed: int,
-    max_block_rows: int = MAX_BLOCK_ROWS,
 ) -> ExampleSample:
     """Draw up to k target records from mixed blocks together with the
-    source values of their blocks (at most ``max_block_rows`` source rows
+    source values of their blocks (at most ``MAX_BLOCK_ROWS`` source rows
     per block are considered, keeping the driver-side work bounded on
     coarse early-search blockings)."""
     mixed_tgt = mixed(t_keyed, s_keyed).select(BK, *attrs)
@@ -67,24 +66,24 @@ def sample_examples(
 
     src = s_keyed.where(F.col(BK).isin(bks)).select(BK, *attrs)
     src_rows = (
-        rank_in_blocks(src, seed + 1).where(F.col(RN) <= max_block_rows).collect()
+        rank_in_blocks(src, seed + 1).where(F.col(RN) <= MAX_BLOCK_ROWS).collect()
     )
     block_vals: dict[str, dict[str, list]] = {bk: {a: [] for a in attrs} for bk in bks}
     for r in src_rows:
         for a in attrs:
-            vals = block_vals[r[BK]][a]  # at most max_block_rows values
+            vals = block_vals[r[BK]][a]  # at most MAX_BLOCK_ROWS values
             if r[a] is not None and r[a] not in vals:
                 vals.append(r[a])
     targets = [{**{a: r[a] for a in attrs}, BK: r[BK]} for r in sampled]
     return ExampleSample(targets, block_vals)
 
 
-def scaled_support(n_sampled: int, k: int, base_support: int = BASE_SUPPORT) -> int:
+def scaled_support(n_sampled: int, k: int) -> int:
     """Support threshold, scaled down proportionally when fewer than k
     targets exist (DESIGN.md note 3)."""
     if n_sampled >= k:
-        return base_support
-    return max(2, math.ceil(base_support * n_sampled / max(1, k)))
+        return BASE_SUPPORT
+    return max(2, math.ceil(BASE_SUPPORT * n_sampled / max(1, k)))
 
 
 def induce_attr_candidates(

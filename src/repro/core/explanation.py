@@ -9,7 +9,8 @@ so the block key is the full transformed tuple and this bijection is
 ``blocking.pair_in_blocks`` over the record ids. Unmatched source records
 are deletions (S^E-), unmatched target records insertions (T^E+).
 
-Costs (Def. 3.10): c(E) = 2*alpha*|A|*|T^E+| + 2*(1-alpha)*sum_a psi(f_a).
+Costs (Def. 3.10, ``state.mdl_cost``): c(E) = 2*alpha*|A|*|T^E+| +
+2*(1-alpha)*sum_a psi(f_a).
 The trivial explanation E_empty (everything deleted+inserted, identity
 functions) costs 2*alpha*|A|*|T| and upper-bounds every search result.
 """
@@ -22,7 +23,7 @@ from pyspark.sql import functions as F
 
 from .blocking import BK, pair_in_blocks, with_block_key
 from .functions import Identity, TransformFunction
-from .state import RID, Problem, SearchState
+from .state import RID, Problem, SearchState, mdl_cost
 
 __all__ = ["Explanation", "explanation_from_functions", "trivial_explanation"]
 
@@ -40,16 +41,12 @@ class Explanation:
     core_pairs: DataFrame | None = None  # columns: s_rid, t_rid
 
     def cost(self, alpha: float = 0.5) -> float:
-        lf = sum(f.psi for f in self.functions)
-        lt = self.n_attrs * self.n_inserted
-        return 2 * alpha * lt + 2 * (1 - alpha) * lf
+        psi = sum(f.psi for f in self.functions)
+        return mdl_cost(self.n_attrs, self.n_inserted, psi, alpha)
 
 
 def explanation_from_functions(
-    problem: Problem,
-    functions: tuple[TransformFunction, ...],
-    *,
-    seed: int = 0,
+    problem: Problem, functions: tuple[TransformFunction, ...]
 ) -> Explanation:
     """Prop. 3.6: build the (unique up to interchangeable duplicates)
     maximal valid explanation for the given attribute functions."""
@@ -58,12 +55,11 @@ def explanation_from_functions(
     # With every attribute decided, the block key of Def. 4.3 is the full
     # (transformed) tuple, so blocks are exactly the identical-tuple groups.
     state = SearchState(tuple(functions))
-    s = with_block_key(problem.source, state, problem.attrs, is_source=True)
-    t = with_block_key(problem.target, state, problem.attrs, is_source=False)
+    s, t = with_block_key(problem, state)
     pairs = pair_in_blocks(
         s.select(F.col(RID).alias("s_rid"), BK),
         t.select(F.col(RID).alias("t_rid"), BK),
-        seed,
+        0,  # any in-block pairing is a maximal bijection (Prop. 3.6)
     ).select("s_rid", "t_rid").cache()
     core = pairs.count()
     return Explanation(

@@ -124,9 +124,14 @@ class SearchState:
         )
 
 
+def mdl_cost(n_attrs: int, n_inserted: int, psi: int, alpha: float) -> float:
+    """The MDL cost 2*alpha*|A|*|T+| + 2*(1-alpha)*sum(psi): c(E) of Def.
+    3.10, and c(H) of Def. 4.6 with |T+| = ct(H)."""
+    return 2 * (1 - alpha) * psi + 2 * alpha * n_attrs * n_inserted
+
+
 def state_cost(
     problem: Problem, cf: int, overlap: int, alpha: float
 ) -> float:
     """c(H) as documented in the module docstring."""
-    ct = problem.n_target - overlap
-    return 2 * (1 - alpha) * cf + 2 * alpha * problem.n_attrs * ct
+    return mdl_cost(problem.n_attrs, problem.n_target - overlap, cf, alpha)

@@ -22,10 +22,8 @@ TGT = [("x", "A"), ("x", "A"), ("x", "B"), ("y", "C"), ("z", "Z")]
 @pytest.fixture(scope="module")
 def keyed(spark):
     p = make_problem(spark, ATTRS, SRC, TGT)
-    st = SearchState((Identity(), UNDECIDED))
-    s = with_block_key(p.source, st, p.attrs, is_source=True).cache()
-    t = with_block_key(p.target, st, p.attrs, is_source=False).cache()
-    return p, s, t
+    s, t = with_block_key(p, SearchState((Identity(), UNDECIDED)))
+    return p, s.cache(), t.cache()
 
 
 def test_alignment_respects_blocks(keyed):
@@ -103,8 +101,6 @@ def test_greedy_map_convenience(keyed):
 
 def test_greedy_map_excludes_nulls(spark):
     p = make_problem(spark, ["g", "v"], [("x", None), ("x", "a")], [("x", "A"), ("x", "B")])
-    st = SearchState((Identity(), UNDECIDED))
-    s = with_block_key(p.source, st, p.attrs, is_source=True)
-    t = with_block_key(p.target, st, p.attrs, is_source=False)
+    s, t = with_block_key(p, SearchState((Identity(), UNDECIDED)))
     g = greedy_map(s, t, "v", seed=0)
     assert None not in dict(g.entries)

@@ -23,10 +23,8 @@ TGT = [(str(i % 4), str(7 * (i + 1))) for i in range(40)]
 @pytest.fixture(scope="module")
 def keyed(spark):
     p = make_problem(spark, ATTRS, SRC, TGT)
-    st = SearchState((Identity(), UNDECIDED))
-    s = with_block_key(p.source, st, p.attrs, is_source=True).cache()
-    t = with_block_key(p.target, st, p.attrs, is_source=False).cache()
-    return p, s, t
+    s, t = with_block_key(p, SearchState((Identity(), UNDECIDED)))
+    return p, s.cache(), t.cache()
 
 
 def test_sample_examples_collects_block_values(keyed):
@@ -40,9 +38,7 @@ def test_sample_examples_collects_block_values(keyed):
 
 def test_sample_examples_empty_when_no_mixed_blocks(spark):
     p = make_problem(spark, ["a"], [("x",)], [("y",)])
-    st = SearchState((Identity(),))
-    s = with_block_key(p.source, st, p.attrs, is_source=True)
-    t = with_block_key(p.target, st, p.attrs, is_source=False)
+    s, t = with_block_key(p, SearchState((Identity(),)))
     sample = sample_examples(s, t, ["a"], k=5, seed=0)
     assert sample.targets == [] and sample.block_source_values == {}
 

@@ -1,9 +1,11 @@
 """Every module of the package imports, every name it lists in
-``__all__`` resolves, and no module imports a name it never uses (no Spark
-session needed)."""
+``__all__`` resolves, no module imports a name it never uses, and every
+name the benchmark's tracer wraps exists (no Spark session needed)."""
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,24 @@ def test_unused_import_check_flags_a_stray_name():
 def test_no_unused_imports(path):
     unused = _unused_imports(path.read_text())
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_trace_layers_resolve():
+    """Every name the benchmark's tracer wraps still exists, so a refactor
+    that drops one fails here rather than inside a ``--trace 1`` run.
+    ``affbench/spans.py`` imports only the standard library."""
+    path = Path(__file__).parents[1] / "affbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_affbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        del sys.modules[spec.name]
+    assert spans.SEARCH_LAYERS
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr in spans.SEARCH_LAYERS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert not missing, f"traced names no longer exist: {missing}"
