@@ -114,6 +114,7 @@ class _Search:
     def extensions(self, h: SearchState) -> list[SearchState]:
         attrs = self.p.attrs
         s_keyed, t_keyed = (df.cache() for df in with_block_key(self.p, h))
+        aligned = None
         try:
             und = h.undecided_indices()
             und_names = [attrs[i] for i in und]
@@ -137,7 +138,6 @@ class _Search:
                     h, batch, s_keyed, t_keyed, aligned, sample, support, boxed
                 )
                 batch = [ordered.popleft()] if (not exts and ordered) else []
-            aligned.unpersist()
             if exts:
                 return exts
             # Every undecided attribute needs a value mapping: mark and
@@ -150,6 +150,8 @@ class _Search:
         finally:
             s_keyed.unpersist()
             t_keyed.unpersist()
+            if aligned is not None:
+                aligned.unpersist()
 
     def _extend_batch(
         self,

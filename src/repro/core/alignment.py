@@ -12,7 +12,6 @@ it is the fallback Finalize uses to resolve MAP_MARKER attributes.
 """
 from __future__ import annotations
 
-from functools import reduce
 from typing import Sequence
 
 from pyspark.sql import DataFrame, Window
@@ -54,15 +53,15 @@ def greedy_maps_bulk(aligned: DataFrame, attrs: list[str]) -> dict[str, ValueMap
     information)."""
     if not attrs:
         return {}
-    parts = [
-        aligned.select(
+    triples = [
+        F.struct(
             F.lit(a).alias("__attr"),
             F.col(S_PREFIX + a).alias("__sv"),
             F.col(T_PREFIX + a).alias("__tv"),
         )
         for a in attrs
     ]
-    melted = reduce(DataFrame.unionByName, parts).where(
+    melted = aligned.select(F.inline(F.array(*triples))).where(
         F.col("__sv").isNotNull() & F.col("__tv").isNotNull()
     )
     co = melted.groupBy("__attr", "__sv", "__tv").agg(F.count("*").alias("__n"))

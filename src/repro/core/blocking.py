@@ -19,6 +19,15 @@ search needs from the data reduces to aggregations over these keyed frames:
   §4.4.3 histogram-overlap ranking, fused with the Def. 4.6 cost
   computation (see DESIGN.md note 4).
 
+Block keys and join values are text, and ``_encoded`` is the only code that
+turns a value into it: the escape byte 0x00 and the key separator 0x1f are
+each prefixed with 0x00, and null becomes 0x00 followed by ``N``. In the
+result every 0x00 starts a two-character pair and every unpaired 0x1f
+separates two values, so a key reads back to exactly one tuple of values,
+null included: equal keys mean equal projections, as Def. 4.3's blocks and
+the Prop. 3.6 bijection require. A value holding neither byte encodes as
+itself.
+
 Every seeded draw of the search is built here too: ``mixed`` (records of
 blocks the other side has), ``rank_in_blocks``, ``pair_in_blocks`` (§4.3's
 Sample-Random-Alignment and, under an end state, the Prop. 3.6 bijection)
@@ -26,7 +35,6 @@ and ``draw``.
 """
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable, Sequence
 
 import pandas as pd
@@ -55,8 +63,10 @@ SEP = "\x1f"
 NULL_SENT = "\x00N"
 
 
-def _coalesced(c: Column) -> Column:
-    return F.coalesce(c, F.lit(NULL_SENT))
+def _encoded(c: Column) -> Column:
+    """The key and join text of a value, null included; injective (see the
+    module docstring)."""
+    return F.coalesce(F.regexp_replace(c, "([\x00\x1f])", "\x00$1"), F.lit(NULL_SENT))
 
 
 def _transform_udf(f: TransformFunction):
@@ -75,12 +85,9 @@ def with_block_key(problem: Problem, state: SearchState) -> tuple[DataFrame, Dat
     put every record in one block (empty key). This is the only code that
     writes the key format."""
     decided = [(problem.attrs[i], f) for i, f in state.decided()]
-    if not decided:
-        s_key = t_key = F.lit("")
-    else:
-        s_cols = [_coalesced(_transform_udf(f)(F.col(a))) for a, f in decided]
-        s_key = F.concat_ws(SEP, *s_cols)
-        t_key = F.concat_ws(SEP, *[_coalesced(F.col(a)) for a, _ in decided])
+    s_cols = [_encoded(_transform_udf(f)(F.col(a))) for a, f in decided]
+    t_cols = [_encoded(F.col(a)) for a, _ in decided]
+    s_key, t_key = F.concat_ws(SEP, *s_cols), F.concat_ws(SEP, *t_cols)
     return problem.source.withColumn(BK, s_key), problem.target.withColumn(BK, t_key)
 
 
@@ -151,8 +158,9 @@ def evaluate_pairs(
     One source-side mapInPandas emits ``(candidate, attr, __bk, val)``
     rows, the refined block of each candidate as the state's block plus the
     transformed value; per-attribute target histograms over ``(attr, __bk,
-    val)`` are built once and joined on those columns. The result is M for
-    each pair, aligned with the input order.
+    val)`` are built once from the melted target and joined on those
+    columns, both ``val`` columns encoded by ``_encoded``. The result is M
+    for each pair, aligned with the input order.
     """
     if not pairs:
         return []
@@ -160,33 +168,22 @@ def evaluate_pairs(
     needed = sorted({attrs[i] for i, _ in pairs})
     pair_list = [(attrs[i], f) for i, f in pairs]
 
-    src = s_keyed.select(BK, *needed)
-
     def gen(iterator):
         for pdf in iterator:
-            if len(pdf) == 0:
-                continue
-            outs = []
             for ci, (a, f) in enumerate(pair_list):
-                vals = f.apply_series(pdf[a]).fillna(NULL_SENT).astype(str)
-                outs.append(
-                    pd.DataFrame({"cand": ci, "attr": a, BK: pdf[BK], "val": vals})
+                yield pd.DataFrame(
+                    {"cand": ci, "attr": a, BK: pdf[BK], "val": f.apply_series(pdf[a])}
                 )
-            yield pd.concat(outs, ignore_index=True)
 
     src_counts = (
-        src.mapInPandas(gen, f"cand int, attr string, {BK} string, val string")
-        .groupBy("cand", "attr", BK, "val")
+        s_keyed.select(BK, *needed)
+        .mapInPandas(gen, f"cand int, attr string, {BK} string, val string")
+        .groupBy("cand", "attr", BK, _encoded(F.col("val")).alias("val"))
         .agg(F.count("*").alias("__sc"))
     )
-
-    tgt_parts = [
-        t_keyed.select(F.lit(a).alias("attr"), BK, _coalesced(F.col(a)).alias("val"))
-        for a in needed
-    ]
     tgt_counts = (
-        reduce(DataFrame.unionByName, tgt_parts)
-        .groupBy("attr", BK, "val")
+        t_keyed.unpivot([BK], needed, "attr", "val")
+        .groupBy("attr", BK, _encoded(F.col("val")).alias("val"))
         .agg(F.count("*").alias("__tc"))
     )
 

@@ -8,7 +8,7 @@ from repro.bench.running_example import (
     E1_INSERTED,
     running_example_problem,
 )
-from repro.core import AffidavitConfig, run_affidavit
+from repro.core import AffidavitConfig, affidavit, run_affidavit
 from repro.core.functions import (
     ConstantValue,
     Identity,
@@ -135,3 +135,20 @@ def test_unknown_start_raises(spark):
     p = make_problem(spark, ["x", "y"], rows, rows)
     with pytest.raises(ValueError):
         run_affidavit(p, AffidavitConfig(start="bogus"))
+
+
+def test_failed_poll_releases_its_cache(spark, monkeypatch):
+    """A poll that raises after the alignment is cached still unpersists
+    it, with the keyed snapshots."""
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("evaluate_pairs failed")
+
+    rows = [(f"k{i}", f"v{i % 3}") for i in range(6)]
+    p = make_problem(spark, ["k", "v"], rows, rows)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    monkeypatch.setattr(affidavit, "evaluate_pairs", fail)
+    with pytest.raises(RuntimeError, match="evaluate_pairs failed"):
+        run_affidavit(p, AffidavitConfig(start="empty", beta=1, queue_width=1))
+    assert persistent().size() == before

@@ -10,9 +10,11 @@ def make_problem(spark, attrs, source_rows, target_rows) -> Problem:
     t = pd.DataFrame(target_rows, columns=attrs, dtype="object")
     s[RID] = range(len(s))
     t[RID] = range(len(t))
+    # An explicit schema lets a column hold only nulls, or no rows at all.
+    schema = ", ".join([f"`{a}` string" for a in attrs] + [f"{RID} bigint"])
     return Problem(
         spark=spark,
-        source=spark.createDataFrame(s).coalesce(1),
-        target=spark.createDataFrame(t).coalesce(1),
+        source=spark.createDataFrame(s, schema).coalesce(1),
+        target=spark.createDataFrame(t, schema).coalesce(1),
         attrs=list(attrs),
     )
