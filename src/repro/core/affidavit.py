@@ -16,7 +16,6 @@ step runs as a Spark DataFrame computation:
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
@@ -119,9 +118,7 @@ class _Search:
             und = h.undecided_indices()
             und_names = [attrs[i] for i in und]
             ind = indeterminacy(s_keyed, t_keyed, und_names)
-            ordered = deque(
-                sorted(und, key=lambda i: (ind.get(attrs[i], float("inf")), i))
-            )
+            ordered = sorted(und, key=lambda i: (ind.get(attrs[i], float("inf")), i))
             aligned = sample_random_alignment(
                 s_keyed, t_keyed, und_names, seed=self._seed()
             ).cache()
@@ -130,21 +127,19 @@ class _Search:
             )
             support = scaled_support(len(sample.targets), self.k)
 
-            exts: list[SearchState] = []
-            boxed: list[int] = []
-            batch = [ordered.popleft() for _ in range(min(self.cfg.beta, len(ordered)))]
-            while not exts and batch:
+            beta = self.cfg.beta
+            for batch in [ordered[:beta]] + [[i] for i in ordered[beta:]]:
                 exts = self._extend_batch(
-                    h, batch, s_keyed, t_keyed, aligned, sample, support, boxed
+                    h, batch, s_keyed, t_keyed, aligned, sample, support
                 )
-                batch = [ordered.popleft()] if (not exts and ordered) else []
-            if exts:
-                return exts
-            # Every undecided attribute needs a value mapping: mark and
-            # finalize (resolve markers one after another, re-sampling the
-            # alignment after each; Algorithm 1's last branch).
+                if exts:
+                    return exts
+            # Every batch failed, so every undecided attribute needs a value
+            # mapping: mark and finalize (resolve markers one after another,
+            # re-sampling the alignment after each; Algorithm 1's last
+            # branch).
             st = h
-            for i in boxed:
+            for i in und:
                 st = st.extend(i, MAP_MARKER)
             return [self.finalize(st)]
         finally:
@@ -162,38 +157,31 @@ class _Search:
         aligned: DataFrame,
         sample,
         support: int,
-        boxed: list[int],
     ) -> list[SearchState]:
+        """Up to beta extensions of ``h`` per attribute of ``batch``: the
+        induced functions cheaper than the attribute's greedy map, ranked by
+        (c(H), psi, signature). Empty when no attribute has one."""
         attrs = self.p.attrs
-        per_attr: dict[int, list[TransformFunction]] = {}
-        pairs: list[tuple[int, TransformFunction]] = []
-        bulk = greedy_maps_bulk(aligned, [attrs[i] for i in batch])
-        greedy: dict[int, TransformFunction] = {i: bulk[attrs[i]] for i in batch}
+        greedy = greedy_maps_bulk(aligned, [attrs[i] for i in batch])
+        cands: dict[int, list[TransformFunction]] = {}
         for i in batch:
-            cands = induce_attr_candidates(sample, attrs[i], min_support=support)
-            per_attr[i] = [f for f, _ in cands]
-            pairs.extend((i, f) for f in per_attr[i])
-            pairs.append((i, greedy[i]))
-
-        overlaps = evaluate_pairs(self.p, s_keyed, t_keyed, pairs)
-        m_of = {
-            (i, f.signature()): m for (i, f), m in zip(pairs, overlaps)
-        }
+            induced = induce_attr_candidates(sample, attrs[i], min_support=support)
+            cands[i] = [f for f, _ in induced] + [greedy[attrs[i]]]
+        pairs = [(i, f) for i in batch for f in cands[i]]
+        overlaps = iter(evaluate_pairs(self.p, s_keyed, t_keyed, pairs))
 
         exts: list[SearchState] = []
         for i in batch:
-            g = greedy[i]
-            g_cost = self._scored(h.extend(i, g), m_of[(i, g.signature())]).cost
-            scored = []
-            for f in per_attr[i]:
-                st = self._scored(h.extend(i, f), m_of[(i, f.signature())])
-                if st.cost < g_cost:
-                    scored.append((st.cost, f.psi, f.signature(), st))
-            scored.sort(key=lambda c: c[:3])
-            if scored:
-                exts.extend(c[-1] for c in scored[: self.cfg.beta])
-            else:
-                boxed.append(i)
+            *induced, (g_st, _) = [
+                (self._scored(h.extend(i, f), next(overlaps)), f) for f in cands[i]
+            ]
+            kept = [
+                (st.cost, f.psi, f.signature(), st)
+                for st, f in induced
+                if st.cost < g_st.cost
+            ]
+            kept.sort(key=lambda c: c[:3])
+            exts.extend(c[-1] for c in kept[: self.cfg.beta])
         return exts
 
     # ------------------------------------------------------------------

@@ -40,6 +40,7 @@ from typing import Iterable, Sequence
 import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
+from pyspark.sql.types import StringType
 
 from .functions import TransformFunction
 from .state import Problem, SearchState
@@ -75,7 +76,7 @@ def _transform_udf(f: TransformFunction):
     def _apply(s: pd.Series) -> pd.Series:
         return f.apply_series(s)
 
-    return F.pandas_udf(_apply, "string")
+    return F.pandas_udf(_apply, StringType())
 
 
 def with_block_key(problem: Problem, state: SearchState) -> tuple[DataFrame, DataFrame]:

@@ -109,9 +109,6 @@ class TransformFunction:
     def apply(self, x: str | None) -> str | None:
         raise NotImplementedError
 
-    def __call__(self, x: str | None) -> str | None:
-        return self.apply(x)
-
     def apply_series(self, s: pd.Series) -> pd.Series:
         """Vectorized application for pandas-UDF use; default maps apply."""
         return s.map(self.apply, na_action="ignore")

@@ -89,9 +89,9 @@ def test_insertions_and_deletions_detected(spark):
     p = make_problem(spark, ["k", "v"], src, tgt)
     expl, _ = run_affidavit(p, AffidavitConfig(start="id", beta=1, queue_width=1, seed=0))
     assert expl.core_size == 7  # k01..k07
-    assert expl.n_inserted == 3  # new1, new2, and k00's target? no: k00 not in src
-    # src: k01..k09 (9 records); tgt: k00..k07 + new1 + new2 (10 records)
-    # overlap on identity: k01..k07 -> 7; deleted: k08, k09; inserted: k00, new1, new2
+    # source k01..k09; target k00..k07 plus new1 and new2: core k01..k07,
+    # deleted k08 and k09, inserted k00, new1 and new2
+    assert expl.n_inserted == 3
     assert expl.n_deleted == 2
 
 
@@ -152,3 +152,30 @@ def test_failed_poll_releases_its_cache(spark, monkeypatch):
     with pytest.raises(RuntimeError, match="evaluate_pairs failed"):
         run_affidavit(p, AffidavitConfig(start="empty", beta=1, queue_width=1))
     assert persistent().size() == before
+
+
+def test_poll_batches_then_finalizes(spark, monkeypatch):
+    """With no induced candidate, a poll tries the beta most determined
+    attributes together, then each other one alone, and then finalizes every
+    undecided attribute with a value mapping."""
+    batches = []
+    bulk = affidavit.greedy_maps_bulk
+
+    def spy(aligned, attrs):
+        batches.append(list(attrs))
+        return bulk(aligned, attrs)
+
+    monkeypatch.setattr(
+        affidavit, "indeterminacy", lambda s, t, attrs: {"a": 3.0, "b": 1.0, "c": 2.0}
+    )
+    monkeypatch.setattr(affidavit, "induce_attr_candidates", lambda *a, **k: [])
+    monkeypatch.setattr(affidavit, "greedy_maps_bulk", spy)
+    src = [(f"a{i}", f"b{i}", f"c{i}") for i in range(6)]
+    tgt = [(f"x{i}", f"y{i}", f"z{i}") for i in range(6)]
+    p = make_problem(spark, ["a", "b", "c"], src, tgt)
+    expl, diag = run_affidavit(
+        p, AffidavitConfig(start="empty", beta=2, queue_width=2, seed=0)
+    )
+    assert batches == [["b", "c"], ["a"]]
+    assert all(isinstance(f, ValueMapping) for f in expl.functions)
+    assert diag.stop_reason == "end_state"

@@ -1,6 +1,6 @@
-"""Sanity of the provided substrate (synth_data + DuckDB oracle) and an
-integration test: Affidavit explaining a transformed snapshot of a
-TPC-H-lite table."""
+"""Sanity of the provided substrate (synth_data + DuckDB oracle, the test
+JVM's memory) and an integration test: Affidavit explaining a transformed
+snapshot of a TPC-H-lite table."""
 import pytest
 
 from repro import synth_data
@@ -35,3 +35,16 @@ def test_orders_snapshot_explained(spark):
     assert r.acc >= 0.95
     assert r.dcore >= 0.9
     assert r.dcosts <= 1.1
+
+
+def test_driver_mem_fits_the_machine(monkeypatch):
+    """Without SPARK_DRIVER_MEM, the test JVM's heap is no larger than the
+    machine's memory."""
+    import conftest
+
+    monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+    with open("/proc/meminfo") as f:
+        kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+    mem = conftest._driver_mem()
+    assert mem.endswith("g")
+    assert int(mem[:-1]) << 20 <= kib
