@@ -153,14 +153,13 @@ def run_cell(
     n_instances: int = 1,
     seed: int = 0,
     n_rows: int | None = None,
-    n_attrs: int | None = None,
 ) -> CellRow:
     """One Table 2 cell: macro-average over n_instances random instances."""
     eta, tau = setting
     accs, dcores, dcostss, ts = [], [], [], []
     for i in range(n_instances):
         inst_seed = seed * 100_003 + i * 977 + round(1000 * (eta + 10 * tau))
-        pdf = make_dataset(dataset, n_rows=n_rows, n_attrs=n_attrs, seed=inst_seed)
+        pdf = make_dataset(dataset, n_rows=n_rows, seed=inst_seed)
         inst = make_instance(spark, pdf, eta=eta, tau=tau, seed=inst_seed + 1)
         cfg = make_config(config_name, dataset, inst_seed + 2)
         t0 = time.perf_counter()

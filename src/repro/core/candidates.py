@@ -91,7 +91,6 @@ def induce_attr_candidates(
     attr: str,
     *,
     min_support: int,
-    max_candidates: int = MAX_CANDIDATES,
 ) -> list[tuple[TransformFunction, int]]:
     """Candidate functions for one attribute with their support, filtered
     and sorted by support (descending). Value mappings are never induced
@@ -108,4 +107,4 @@ def induce_attr_candidates(
             support[f] = support.get(f, 0) + 1
     kept = [(f, n) for f, n in support.items() if n >= min_support]
     kept.sort(key=lambda fn: (-fn[1], fn[0].psi, fn[0].signature()))
-    return kept[:max_candidates]
+    return kept[:MAX_CANDIDATES]

@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from os.path import commonprefix
 
 import numpy as np
 import pandas as pd
@@ -99,19 +101,26 @@ def _snap(y: float) -> float:
 
 @dataclass(frozen=True)
 class TransformFunction:
-    """Base class: one instantiated attribute function f: str -> str."""
+    """Base class: one instantiated attribute function f: str -> str.
+
+    A subclass defines the function once, as ``_apply`` on one non-null
+    value; null maps to null here, for the scalar and the vectorised path.
+    """
 
     @property
     def psi(self) -> int:
         """Description length: number of instantiation parameters."""
         raise NotImplementedError
 
-    def apply(self, x: str | None) -> str | None:
+    def _apply(self, x: str) -> str:
         raise NotImplementedError
 
+    def apply(self, x: str | None) -> str | None:
+        return None if x is None else self._apply(x)
+
     def apply_series(self, s: pd.Series) -> pd.Series:
-        """Vectorized application for pandas-UDF use; default maps apply."""
-        return s.map(self.apply, na_action="ignore")
+        """Vectorized application for pandas-UDF use."""
+        return s.map(self._apply, na_action="ignore")
 
     def signature(self) -> str:
         """Stable identity string for deduplication and state signatures."""
@@ -122,22 +131,16 @@ class TransformFunction:
 class Identity(TransformFunction):
     psi = 0
 
-    def apply(self, x):
+    def _apply(self, x):
         return x
-
-    def apply_series(self, s):
-        return s
 
 
 @dataclass(frozen=True)
 class Uppercasing(TransformFunction):
     psi = 0
 
-    def apply(self, x):
-        return None if x is None else x.upper()
-
-    def apply_series(self, s):
-        return s.str.upper()
+    def _apply(self, x):
+        return x.upper()
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,8 @@ class Lowercasing(TransformFunction):
 
     psi = 0
 
-    def apply(self, x):
-        return None if x is None else x.lower()
-
-    def apply_series(self, s):
-        return s.str.lower()
+    def _apply(self, x):
+        return x.lower()
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,8 @@ class ConstantValue(TransformFunction):
     c: str
     psi = 1
 
-    def apply(self, x):
-        return None if x is None else self.c
+    def _apply(self, x):
+        return self.c
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class Addition(TransformFunction):
     y: float
     psi = 1
 
-    def apply(self, x):
+    def _apply(self, x):
         v = parse_number(x)
         return x if v is None else format_number(v + self.y)
 
@@ -184,7 +184,7 @@ class Scale(TransformFunction):
     factor: float
     psi = 1
 
-    def apply(self, x):
+    def _apply(self, x):
         v = parse_number(x)
         return x if v is None else format_number(v * self.factor)
 
@@ -197,9 +197,7 @@ class FrontMasking(TransformFunction):
     m: str
     psi = 1
 
-    def apply(self, x):
-        if x is None:
-            return None
+    def _apply(self, x):
         return self.m + x[len(self.m):] if len(x) >= len(self.m) else x
 
 
@@ -210,9 +208,7 @@ class BackMasking(TransformFunction):
     m: str
     psi = 1
 
-    def apply(self, x):
-        if x is None:
-            return None
+    def _apply(self, x):
         return x[: len(x) - len(self.m)] + self.m if len(x) >= len(self.m) else x
 
 
@@ -223,8 +219,8 @@ class FrontCharTrimming(TransformFunction):
     c: str
     psi = 1
 
-    def apply(self, x):
-        return None if x is None else x.lstrip(self.c)
+    def _apply(self, x):
+        return x.lstrip(self.c)
 
 
 @dataclass(frozen=True)
@@ -234,8 +230,8 @@ class BackCharTrimming(TransformFunction):
     c: str
     psi = 1
 
-    def apply(self, x):
-        return None if x is None else x.rstrip(self.c)
+    def _apply(self, x):
+        return x.rstrip(self.c)
 
 
 @dataclass(frozen=True)
@@ -243,8 +239,8 @@ class Prefixing(TransformFunction):
     y: str
     psi = 1
 
-    def apply(self, x):
-        return None if x is None else self.y + x
+    def _apply(self, x):
+        return self.y + x
 
 
 @dataclass(frozen=True)
@@ -254,8 +250,8 @@ class Suffixing(TransformFunction):
     y: str
     psi = 1
 
-    def apply(self, x):
-        return None if x is None else x + self.y
+    def _apply(self, x):
+        return x + self.y
 
 
 @dataclass(frozen=True)
@@ -266,9 +262,7 @@ class PrefixReplacement(TransformFunction):
     z: str
     psi = 2
 
-    def apply(self, x):
-        if x is None:
-            return None
+    def _apply(self, x):
         return self.z + x[len(self.y):] if x.startswith(self.y) else x
 
 
@@ -280,9 +274,7 @@ class SuffixReplacement(TransformFunction):
     z: str
     psi = 2
 
-    def apply(self, x):
-        if x is None:
-            return None
+    def _apply(self, x):
         return x[: len(x) - len(self.y)] + self.z if x.endswith(self.y) else x
 
 
@@ -299,18 +291,12 @@ class ValueMapping(TransformFunction):
     def psi(self) -> int:
         return 2 * len(self.entries)
 
-    def _dict(self) -> dict[str, str]:
+    @cached_property
+    def _map(self) -> dict[str, str]:
         return dict(self.entries)
 
-    def apply(self, x):
-        if x is None:
-            return None
-        return self._dict().get(x, x)
-
-    def apply_series(self, s):
-        d = self._dict()
-        mapped = s.map(d)
-        return mapped.where(mapped.notna(), s)
+    def _apply(self, x):
+        return self._map.get(x, x)
 
     def __repr__(self):
         # Entries can be large, so the signature carries a content digest;
@@ -319,88 +305,45 @@ class ValueMapping(TransformFunction):
         return f"ValueMapping(n={len(self.entries)}, h={h.hexdigest()})"
 
 
-def _common_suffix_len(a: str, b: str) -> int:
-    n = 0
-    while n < len(a) and n < len(b) and a[len(a) - 1 - n] == b[len(b) - 1 - n]:
-        n += 1
-    return n
-
-
-def _common_prefix_len(a: str, b: str) -> int:
-    n = 0
-    while n < len(a) and n < len(b) and a[n] == b[n]:
-        n += 1
-    return n
-
-
 def induce_candidates(in_v: str, out_v: str) -> list[TransformFunction]:
     """All meta-function instantiations learnable from the single example
     ``in_v -> out_v`` (§4.4.1: every supported meta function is learnable
-    from one example). Each candidate is verified before being returned.
-    Value mappings are deliberately *not* induced here — they are resolved
-    from greedy alignments at the end of the search (§4.4.1 last para).
+    from one example). Candidates are proposed from the example's shape,
+    and only those that reproduce the example are returned. Value mappings
+    are deliberately *not* induced here — they are resolved from greedy
+    alignments at the end of the search (§4.4.1 last para).
     """
     if in_v is None or out_v is None:
         return []
-    cands: list[TransformFunction] = []
-
     if in_v == out_v:
-        cands.append(Identity())
-    if in_v != out_v:
-        if out_v == in_v.upper():
-            cands.append(Uppercasing())
-        if out_v == in_v.lower():
-            cands.append(Lowercasing())
-
-    cands.append(ConstantValue(out_v))
+        return [Identity(), ConstantValue(out_v)]
+    cands: list[TransformFunction] = [Uppercasing(), Lowercasing(), ConstantValue(out_v)]
 
     iv, ov = parse_number(in_v), parse_number(out_v)
-    if iv is not None and ov is not None and in_v != out_v:
-        y = _snap(ov - iv)
-        if y != 0:
+    if iv is not None and ov is not None:
+        if (y := _snap(ov - iv)) != 0:
             cands.append(Addition(y))
-        if iv != 0 and ov != 0:
-            f = _snap(ov / iv)
-            if f != 1:
-                cands.append(Scale(f))
+        if iv != 0 and ov != 0 and (f := _snap(ov / iv)) != 1:
+            cands.append(Scale(f))
 
-    if in_v != out_v:
-        # Masking requires equal lengths; minimal mask = up to the longest
-        # common suffix/prefix.
-        if len(in_v) == len(out_v) and len(in_v) > 0:
-            sl = _common_suffix_len(in_v, out_v)
-            left = len(in_v) - sl
-            if 1 <= left:
-                cands.append(FrontMasking(out_v[:left]))
-            pl = _common_prefix_len(in_v, out_v)
-            right = len(in_v) - pl
-            if 1 <= right:
-                cands.append(BackMasking(out_v[pl:]))
-        # Char trimming: in = c^k . out with maximal leading run of c.
-        if len(in_v) > len(out_v) and in_v:
-            c = in_v[0]
-            if in_v.lstrip(c) == out_v:
-                cands.append(FrontCharTrimming(c))
-            c = in_v[-1]
-            if in_v.rstrip(c) == out_v:
-                cands.append(BackCharTrimming(c))
-        # Prefixing / suffixing.
-        if len(out_v) > len(in_v):
-            if out_v.endswith(in_v):
-                cands.append(Prefixing(out_v[: len(out_v) - len(in_v)]))
-            if out_v.startswith(in_v):
-                cands.append(Suffixing(out_v[len(in_v):]))
-        # Prefix/suffix replacement from the longest common suffix/prefix
-        # (minimal parameters; matches the paper's '9999123'x -> '2018070'x).
-        sl = _common_suffix_len(in_v, out_v)
-        if sl >= 1:
-            y, z = in_v[: len(in_v) - sl], out_v[: len(out_v) - sl]
-            if y and y != z:
-                cands.append(PrefixReplacement(y, z))
-        pl = _common_prefix_len(in_v, out_v)
-        if pl >= 1:
-            y, z = in_v[pl:], out_v[pl:]
-            if y and y != z:
-                cands.append(SuffixReplacement(y, z))
+    n, m = len(in_v), len(out_v)
+    pre = len(commonprefix([in_v, out_v]))
+    suf = len(commonprefix([in_v[::-1], out_v[::-1]]))
+    if n == m:
+        # Minimal masks: up to the longest common suffix/prefix.
+        cands += [FrontMasking(out_v[: m - suf]), BackMasking(out_v[pre:])]
+    if n > m:
+        # Char trimming strips the maximal run of the first/last character.
+        cands += [FrontCharTrimming(in_v[0]), BackCharTrimming(in_v[-1])]
+    if m > n:
+        cands += [Prefixing(out_v[: m - n]), Suffixing(out_v[n:])]
+    # Prefix/suffix replacement keeps the longest common suffix/prefix
+    # (minimal parameters; matches the paper's '9999123'x -> '2018070'x).
+    # Both guards are needed: without a common part, or with an empty y,
+    # the replacement would reproduce the example and pass the filter.
+    if 0 < suf < n:
+        cands.append(PrefixReplacement(in_v[: n - suf], out_v[: m - suf]))
+    if 0 < pre < n:
+        cands.append(SuffixReplacement(in_v[pre:], out_v[pre:]))
 
     return [f for f in cands if f.apply(in_v) == out_v]

@@ -29,7 +29,7 @@ def binom_sf(n: int, k: int, p: float) -> float:
 def sample_size_for_support(theta: float, rho: float, support: int = 5) -> int:
     """Smallest k such that P(Binomial(k, theta) >= support) >= rho.
 
-    With the paper's defaults theta=0.1, rho=0.95 this is 91.
+    With the paper's defaults theta=0.1, rho=0.95 this is 89.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")

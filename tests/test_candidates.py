@@ -1,6 +1,7 @@
 """Candidate induction from in-block examples (§4.4.2)."""
 import pytest
 
+from repro.core import candidates
 from repro.core.blocking import BK, with_block_key
 from repro.core.candidates import (
     induce_attr_candidates,
@@ -69,9 +70,10 @@ def test_induce_attr_candidates_support_filter(keyed):
     assert cands == []
 
 
-def test_induce_attr_candidates_max_candidates(keyed):
+def test_induce_attr_candidates_max_candidates(keyed, monkeypatch):
     _, s, t = keyed
     sample = sample_examples(s, t, ["v"], k=40, seed=2)
-    cands = induce_attr_candidates(sample, "v", min_support=1, max_candidates=3)
-    assert len(cands) <= 3
+    assert len(induce_attr_candidates(sample, "v", min_support=1)) > 3
+    monkeypatch.setattr(candidates, "MAX_CANDIDATES", 3)
+    assert len(induce_attr_candidates(sample, "v", min_support=1)) == 3
 

@@ -243,6 +243,75 @@ def test_induction_identity_only_for_equal():
     assert "Identity" not in _kinds(induce_candidates("a", "b"))
 
 
+@pytest.mark.parametrize(
+    "inp,out,expected",
+    [
+        ("ABC", "ABC", ["Identity()", "ConstantValue(c='ABC')"]),
+        (
+            "6540",
+            "6.54",
+            [
+                "ConstantValue(c='6.54')",
+                "Addition(y=-6533.46)",
+                "Scale(factor=0.001)",
+                "FrontMasking(m='6.54')",
+                "BackMasking(m='.54')",
+                "SuffixReplacement(y='540', z='.54')",
+            ],
+        ),
+        (
+            "80000",
+            "8",
+            [
+                "ConstantValue(c='8')",
+                "Addition(y=-79992.0)",
+                "Scale(factor=0.0001)",
+                "BackCharTrimming(c='0')",
+                "SuffixReplacement(y='0000', z='')",
+            ],
+        ),
+        (
+            "99991231",
+            "20180701",
+            [
+                "ConstantValue(c='20180701')",
+                "Addition(y=-79810530.0)",
+                "Scale(factor=0.20182470800864527)",
+                "FrontMasking(m='2018070')",
+                "BackMasking(m='20180701')",
+                "PrefixReplacement(y='9999123', z='2018070')",
+            ],
+        ),
+        (
+            "20130416",
+            "##130416",
+            [
+                "ConstantValue(c='##130416')",
+                "FrontMasking(m='##')",
+                "BackMasking(m='##130416')",
+                "PrefixReplacement(y='20', z='##')",
+            ],
+        ),
+        ("x", "pre-x", ["ConstantValue(c='pre-x')", "Prefixing(y='pre-')"]),
+        (
+            "0004",
+            "4",
+            [
+                "ConstantValue(c='4')",
+                "FrontCharTrimming(c='0')",
+                "PrefixReplacement(y='000', z='')",
+            ],
+        ),
+        ("", "x", ["ConstantValue(c='x')", "Prefixing(y='x')", "Suffixing(y='x')"]),
+    ],
+)
+def test_induction_exact_candidates(inp, out, expected):
+    """The exact candidates, in order: signatures break ranking ties, so
+    an extra candidate (say ``Uppercasing`` on an equal upper-case pair) or
+    a reordering could change the search."""
+    assert [f.signature() for f in induce_candidates(inp, out)] == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.text(alphabet="abc019 $.", max_size=8),
