@@ -40,29 +40,19 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+    """One local-mode SparkSession for the whole test session, built by the
+    jobs' ``build_session`` (its docstring gives the settings and why).
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here, and so
-    is the static codegen cache size, which holds because this builder
-    starts the session: one search compiles about 300 classes, more than
-    the default 100 entries keep.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch); the tests run with 64 shuffle partitions unless
+    ``SPARK_SHUFFLE_PARTITIONS`` says otherwise.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.sql.codegen.cache.maxEntries", 100000)
-        .getOrCreate()
-    )
+    # Imported here: affbench/tests load this file too, before they put
+    # src/ on the path, and need no session.
+    from repro.bench.session import build_session
+
+    os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "64")
+    s = build_session("repro")
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"master={s.sparkContext.master} "

@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Reproduce Table 2 (paper §5.3): the full 17-dataset x 3-setting x
-2-configuration grid, paper numbers printed next to measured ones.
+2-configuration grid, paper numbers printed next to measured ones as a
+markdown table. Cells run one at a time.
 
 Usage (spark-submit or plain python):
 
@@ -30,7 +31,6 @@ def main(argv=None) -> int:
     ap.add_argument("--configs", nargs="*", default=None, choices=["Hs", "Hid"])
     ap.add_argument("--instances", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--parallelism", type=int, default=6)
     ap.add_argument("--markdown-out", default=None)
     args = ap.parse_args(argv)
 
@@ -47,7 +47,6 @@ def main(argv=None) -> int:
         configs=args.configs,
         n_instances=args.instances,
         seed=args.seed,
-        parallelism=args.parallelism,
     )
     text = format_rows(rows)
     print(text)
@@ -55,7 +54,7 @@ def main(argv=None) -> int:
           f"in {time.time() - t0:.0f}s wall]")
     if args.markdown_out:
         with open(args.markdown_out, "w") as fh:
-            fh.write(format_rows(rows, markdown=True) + "\n")
+            fh.write(text + "\n")
         print(f"markdown written to {args.markdown_out}")
     spark.stop()
     return 0

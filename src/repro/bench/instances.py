@@ -48,7 +48,7 @@ from ..core.functions import (
 )
 from ..core.state import RID, Problem, mdl_cost
 
-__all__ = ["ProblemInstance", "make_instance", "stringify"]
+__all__ = ["PK_ATTR", "ProblemInstance", "make_instance", "stringify"]
 
 PK_ATTR = "added_pk"
 MAX_DISTINCT_RATIO = 0.7  # step 1
@@ -65,7 +65,6 @@ class ProblemInstance:
     ref_n_inserted: int
     ref_n_deleted: int
     core_source_pdf: pd.DataFrame = field(repr=False)  # core rows, source side
-    pk_attr: str = PK_ATTR
     transformed_attrs: tuple[str, ...] = ()
 
     def ref_cost(self, alpha: float = 0.5) -> float:

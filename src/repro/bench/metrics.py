@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.explanation import Explanation
-from .instances import ProblemInstance
+from .instances import PK_ATTR, ProblemInstance
 
 __all__ = ["CellResult", "evaluate_explanation"]
 
@@ -48,7 +48,7 @@ def evaluate_explanation(
     total = 0
     correct = 0
     for a, f_res, f_ref in zip(attrs, explanation.functions, instance.ref_functions):
-        if a == instance.pk_attr:
+        if a == PK_ATTR:
             continue
         col = core[a]
         got = f_res.apply_series(col)

@@ -1,11 +1,16 @@
-"""SparkSession builder for the spark-submit job entrypoints.
+"""The one SparkSession builder, for the job entrypoints and the tests'
+``spark`` fixture (conftest.py) alike.
 
-Tests use the ``spark`` fixture from conftest.py (do not build sessions in
-tests); jobs run standalone and need an equivalent session: local master,
-broadcast joins disabled, Arrow on, console progress off (the Table 2 grid
-runs many concurrent tiny jobs whose progress bars would interleave), and
-a codegen cache large enough for the about 300 classes one search
-compiles (a static setting, so it must be set before the session starts).
+* Master: ``SPARK_MASTER``, default ``local[*]``.
+* Shuffle partitions: ``SPARK_SHUFFLE_PARTITIONS``, default 8; the fixture
+  sets 64 through the variable.
+* Broadcast joins are disabled, so joins exercise the shuffle path at these
+  small data sizes; a query that wants a broadcast join sets the threshold
+  back for itself.
+* Arrow is on, and the UI and console progress bars are off.
+* The codegen cache keeps 100000 entries: one search compiles about 300
+  classes, more than the default 100 keep. The setting is static, so it
+  holds only because this builder starts the session.
 """
 from __future__ import annotations
 

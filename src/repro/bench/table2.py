@@ -17,15 +17,14 @@ the number of record pairs a shared value generates grows quadratically
 with the snapshot size — this preserves the paper's Hs failure mode on the
 low-cardinality datasets at reduced scale.
 
-Cells run concurrently on driver threads: one Affidavit search uses only a
-couple of Spark tasks at a time at these data sizes, so the grid is
-latency- not throughput-bound.
+Cells run one at a time, so each cell's ``t`` is the time of its search
+alone.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from statistics import fmean
 
 from pyspark.sql import SparkSession
 
@@ -156,7 +155,7 @@ def run_cell(
 ) -> CellRow:
     """One Table 2 cell: macro-average over n_instances random instances."""
     eta, tau = setting
-    accs, dcores, dcostss, ts = [], [], [], []
+    results = []
     for i in range(n_instances):
         inst_seed = seed * 100_003 + i * 977 + round(1000 * (eta + 10 * tau))
         pdf = make_dataset(dataset, n_rows=n_rows, seed=inst_seed)
@@ -165,24 +164,14 @@ def run_cell(
         t0 = time.perf_counter()
         expl, _diag = run_affidavit(inst.problem, cfg)
         t = time.perf_counter() - t0
-        r = evaluate_explanation(inst, expl, runtime_s=t, alpha=cfg.alpha)
+        results.append(evaluate_explanation(inst, expl, runtime_s=t, alpha=cfg.alpha))
         if expl.core_pairs is not None:
             expl.core_pairs.unpersist()
-        ts.append(r.t)
-        dcores.append(r.dcore)
-        dcostss.append(r.dcosts)
-        accs.append(r.acc)
-    avg = CellResult(
-        t=sum(ts) / len(ts),
-        dcore=sum(dcores) / len(dcores),
-        dcosts=sum(dcostss) / len(dcostss),
-        acc=sum(accs) / len(accs),
-    )
     return CellRow(
         dataset=dataset,
         setting=setting,
         config=config_name,
-        measured=avg,
+        measured=CellResult(*map(fmean, zip(*map(astuple, results)))),
         paper=PAPER[dataset][config_name][setting],
         n_instances=n_instances,
     )
@@ -196,56 +185,31 @@ def run_table2(
     configs: list[str] | None = None,
     n_instances: int = 1,
     seed: int = 0,
-    parallelism: int = 6,
 ) -> list[CellRow]:
-    """Run (a subset of) the Table 2 grid, cells in parallel driver threads."""
-    datasets = datasets or list(DATASETS)
-    settings = settings or SETTINGS
-    configs = configs or CONFIG_NAMES
-    cells = [
-        (ds, st, cf) for ds in datasets for st in settings for cf in configs
+    """Run (a subset of) the Table 2 grid, one cell after another in grid
+    order: dataset, then setting, then configuration."""
+    return [
+        run_cell(spark, ds, st, cf, n_instances=n_instances, seed=seed)
+        for ds in datasets or DATASETS
+        for st in settings or SETTINGS
+        for cf in configs or CONFIG_NAMES
     ]
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        futures = [
-            pool.submit(
-                run_cell, spark, ds, st, cf, n_instances=n_instances, seed=seed
-            )
-            for ds, st, cf in cells
-        ]
-        return [f.result() for f in futures]
 
 
-def format_rows(rows: list[CellRow], *, markdown: bool = False) -> str:
-    """Render paper-vs-measured, one line per cell, grouped like Table 2."""
-    out = []
-    header = (
-        f"{'dataset':<12} {'eta/tau':<8} {'cfg':<4} "
-        f"{'t[s]':>8} {'t_paper':>8} {'Δcore':>6} {'paper':>6} "
-        f"{'Δcosts':>7} {'paper':>6} {'acc':>5} {'paper':>6}"
-    )
-    sep = "-" * len(header)
-    if markdown:
-        out.append(
-            "| dataset | eta/tau | cfg | t[s] | t paper | Δcore | paper "
-            "| Δcosts | paper | acc | paper |"
-        )
-        out.append("|---|---|---|---|---|---|---|---|---|---|---|")
-    else:
-        out.append(header)
-        out.append(sep)
+def format_rows(rows: list[CellRow]) -> str:
+    """Render paper-vs-measured as a markdown table, one row per cell,
+    grouped like Table 2."""
+    out = [
+        "| dataset | eta/tau | cfg | t[s] | t paper | Δcore | paper "
+        "| Δcosts | paper | acc | paper |",
+        "|---|---|---|---|---|---|---|---|---|---|---|",
+    ]
     for r in sorted(rows, key=lambda r: (list(DATASETS).index(r.dataset), r.setting, r.config)):
         pt, pc, pco, pa = r.paper
         m = r.measured
-        if markdown:
-            out.append(
-                f"| {r.dataset} | {r.setting[0]:.1f} | {r.config} "
-                f"| {m.t:.2f} | {pt:.2f} | {m.dcore:.2f} | {pc:.2f} "
-                f"| {m.dcosts:.2f} | {pco:.2f} | {m.acc:.2f} | {pa:.2f} |"
-            )
-        else:
-            out.append(
-                f"{r.dataset:<12} {r.setting[0]:.1f}/{r.setting[1]:.1f}  {r.config:<4} "
-                f"{m.t:>8.2f} {pt:>8.2f} {m.dcore:>6.2f} {pc:>6.2f} "
-                f"{m.dcosts:>7.2f} {pco:>6.2f} {m.acc:>5.2f} {pa:>6.2f}"
-            )
+        out.append(
+            f"| {r.dataset} | {r.setting[0]:.1f} | {r.config} "
+            f"| {m.t:.2f} | {pt:.2f} | {m.dcore:.2f} | {pc:.2f} "
+            f"| {m.dcosts:.2f} | {pco:.2f} | {m.acc:.2f} | {pa:.2f} |"
+        )
     return "\n".join(out)

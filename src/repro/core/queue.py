@@ -51,18 +51,10 @@ class BoundedLevelQueue:
     def poll(self) -> Any:
         """Remove and return the cheapest state across all levels; ties go
         to the deeper level, then FIFO."""
-        best: _Entry | None = None
-        for entries in self._levels.values():
-            for e in entries:
-                if (
-                    best is None
-                    or e.cost < best.cost
-                    or (e.cost == best.cost and e.level > best.level)
-                    or (e.cost == best.cost and e.level == best.level and e.seq < best.seq)
-                ):
-                    best = e
-        if best is None:
+        entries = [e for level in self._levels.values() for e in level]
+        if not entries:
             raise IndexError("poll from empty queue")
+        best = min(entries, key=lambda e: (e.cost, -e.level, e.seq))
         self._levels[best.level].remove(best)
         if not self._levels[best.level]:
             del self._levels[best.level]

@@ -21,8 +21,8 @@ record sets (cs - ct = |S| - |T|); a regression test asserts this.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -43,25 +43,19 @@ class Problem:
     source: DataFrame
     target: DataFrame
     attrs: list[str]
-    _n_source: Optional[int] = field(default=None, repr=False)
-    _n_target: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self):
         for a in self.attrs:
             if a not in self.source.columns or a not in self.target.columns:
                 raise ValueError(f"attribute {a!r} missing from a snapshot")
 
-    @property
+    @cached_property
     def n_source(self) -> int:
-        if self._n_source is None:
-            self._n_source = self.source.count()
-        return self._n_source
+        return self.source.count()
 
-    @property
+    @cached_property
     def n_target(self) -> int:
-        if self._n_target is None:
-            self._n_target = self.target.count()
-        return self._n_target
+        return self.target.count()
 
     @property
     def n_attrs(self) -> int:

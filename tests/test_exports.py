@@ -1,7 +1,8 @@
 """Every module of the package imports, every name it lists in
-``__all__`` resolves, no module imports a name it never uses, only
-blocking.py names the key format's constants, and every name the
-benchmark's tracer wraps exists (no Spark session needed)."""
+``__all__`` resolves, no module, test, job or conftest.py imports a name
+it never uses, only blocking.py names the key format's constants, and
+every name the benchmark's tracer wraps exists (no Spark session
+needed)."""
 import ast
 import importlib
 import importlib.util
@@ -55,6 +56,18 @@ def _unused_imports(source: str) -> list[str]:
 
 
 SOURCES = sorted(Path(repro.__file__).parent.rglob("*.py"))
+ROOT = Path(__file__).parents[1]
+IMPORTING = SOURCES + [
+    ROOT / "conftest.py",
+    *sorted(ROOT.glob("tests/*.py")),
+    *sorted(ROOT.glob("jobs/*.py")),
+]
+
+
+def _path_id(p: Path) -> str:
+    """A file's path from its parent's parent (``core/queue.py``,
+    ``tests/test_queue.py``); a file at the repo root by its name."""
+    return p.name if p.parent == ROOT else str(p.relative_to(p.parents[1]))
 
 
 def test_unused_import_check_flags_a_stray_name():
@@ -66,9 +79,7 @@ def test_unused_import_check_flags_a_stray_name():
     assert _unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
-@pytest.mark.parametrize(
-    "path", SOURCES, ids=lambda p: str(p.relative_to(p.parents[1]))
-)
+@pytest.mark.parametrize("path", IMPORTING, ids=_path_id)
 def test_no_unused_imports(path):
     unused = _unused_imports(path.read_text())
     assert not unused, f"{path.name} imports names it never uses: {unused}"
@@ -115,9 +126,7 @@ def test_format_check_flags_a_stray_reference():
     assert _format_leaks(blocking_py, home=True) == ["NULL_SENT (line 6)"]
 
 
-@pytest.mark.parametrize(
-    "path", SOURCES, ids=lambda p: str(p.relative_to(p.parents[1]))
-)
+@pytest.mark.parametrize("path", SOURCES, ids=_path_id)
 def test_key_format_has_one_home(path):
     leaks = _format_leaks(path.read_text(), home=path == FORMAT_HOME)
     assert not leaks, f"{path.name} names the key format outside _encoded: {leaks}"

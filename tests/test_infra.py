@@ -1,7 +1,6 @@
 """Sanity of the provided substrate (synth_data + DuckDB oracle, the test
 JVM's memory) and an integration test: Affidavit explaining a transformed
 snapshot of a TPC-H-lite table."""
-import pytest
 
 from repro import synth_data
 from repro.bench.instances import make_instance

@@ -6,7 +6,7 @@ import pytest
 from repro.bench.datasets import make_dataset
 from repro.bench.instances import PK_ATTR, make_instance, stringify
 from repro.core.explanation import explanation_from_functions
-from repro.core.functions import Identity, ValueMapping
+from repro.core.functions import ValueMapping
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.bench.datasets import make_dataset
-from repro.bench.instances import make_instance
+from repro.bench.instances import PK_ATTR, make_instance
 from repro.bench.metrics import evaluate_explanation
 from repro.core.explanation import (
     Explanation,
@@ -37,7 +37,7 @@ def test_trivial_explanation_scores_zero_core(inst):
 def test_acc_ignores_pk_attribute(inst):
     # wrong pk function must not affect acc (tau=0: everything else id)
     funcs = tuple(
-        ConstantValue("0") if a == inst.pk_attr else Identity()
+        ConstantValue("0") if a == PK_ATTR else Identity()
         for a in inst.problem.attrs
     )
     e = Explanation(
@@ -53,7 +53,7 @@ def test_acc_ignores_pk_attribute(inst):
 
 def test_acc_counts_wrong_cells(inst):
     # one non-pk attribute constant-wrong -> acc ~= (d-2)/(d-1)
-    non_pk = [a for a in inst.problem.attrs if a != inst.pk_attr]
+    non_pk = [a for a in inst.problem.attrs if a != PK_ATTR]
     wrong_attr = non_pk[0]
     funcs = tuple(
         ConstantValue("__wrong__") if a == wrong_attr else f

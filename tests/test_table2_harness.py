@@ -1,9 +1,13 @@
 """Table 2 harness: paper-number bookkeeping, cell execution, rendering."""
+import time
+
 import pytest
 
+from repro.bench import table2
 from repro.bench.datasets import DATASETS
 from repro.bench.table2 import (
     CONFIG_NAMES,
+    CellRow,
     PAPER,
     SETTINGS,
     format_rows,
@@ -64,6 +68,26 @@ def test_run_cell_smoke(spark):
     assert row.measured.dcosts > 0 and 0 <= row.measured.acc <= 1
     assert row.paper == PAPER["iris"]["Hs"][(0.3, 0.3)]
     text = format_rows([row])
-    assert "iris" in text and "Hs" in text
-    md = format_rows([row], markdown=True)
-    assert md.startswith("| dataset")
+    assert text.startswith("| dataset")
+    assert "| iris | 0.3 | Hs |" in text
+
+
+def test_run_table2_runs_cells_one_at_a_time(monkeypatch):
+    """Cells run in grid order, each alone, so a cell's ``t`` times only
+    its own search."""
+    calls, active = [], []
+
+    def fake_run_cell(spark, dataset, setting, config_name, **_):
+        assert not active, "two cells ran at once"
+        active.append(dataset)
+        time.sleep(0.01)
+        calls.append((dataset, setting, config_name))
+        active.pop()
+        return CellRow(dataset, setting, config_name, None, (), 1)
+
+    monkeypatch.setattr(table2, "run_cell", fake_run_cell)
+    datasets, settings = ["iris", "chess"], [(0.3, 0.3), (0.7, 0.7)]
+    grid = [(d, s, c) for d in datasets for s in settings for c in CONFIG_NAMES]
+    rows = table2.run_table2(None, datasets=datasets, settings=settings)
+    assert calls == grid
+    assert [(r.dataset, r.setting, r.config) for r in rows] == grid
