@@ -28,7 +28,7 @@ from .explanation import Explanation, explanation_from_state, trivial_explanatio
 from .functions import Identity, TransformFunction
 from .overlap_init import overlap_start_state
 from .queue import BoundedLevelQueue
-from .state import MAP_MARKER, UNDECIDED, Problem, SearchState, state_cost
+from .state import UNDECIDED, Problem, SearchState, state_cost
 from .stats import sample_size_for_support
 
 __all__ = ["AffidavitConfig", "SearchDiagnostics", "run_affidavit"]
@@ -135,13 +135,8 @@ class _Search:
                 if exts:
                     return exts
             # Every batch failed, so every undecided attribute needs a value
-            # mapping: mark and finalize (resolve markers one after another,
-            # re-sampling the alignment after each; Algorithm 1's last
-            # branch).
-            st = h
-            for i in und:
-                st = st.extend(i, MAP_MARKER)
-            return [self.finalize(st)]
+            # mapping: finalize them (Algorithm 1's last branch).
+            return [self.finalize(h, und)]
         finally:
             s_keyed.unpersist()
             t_keyed.unpersist()
@@ -185,12 +180,13 @@ class _Search:
         return exts
 
     # ------------------------------------------------------------------
-    # Finalize (§4.3): resolve MAP_MARKER slots with greedy maps
+    # Finalize (§4.3): resolve attributes with greedy maps
     # ------------------------------------------------------------------
-    def finalize(self, st: SearchState) -> SearchState:
+    def finalize(self, st: SearchState, indices: list[int]) -> SearchState:
+        """``st`` with a greedy map on every slot of ``indices``, in order,
+        re-keying and re-sampling the alignment after each assignment."""
         attrs = self.p.attrs
-        while st.marker_indices():
-            i = st.marker_indices()[0]
+        for i in indices:
             g = greedy_map(*with_block_key(self.p, st), attrs[i], seed=self._seed())
             st = st.extend(i, g)
         return self._scored(st, blocking.state_overlap(self.p, st))

@@ -8,7 +8,8 @@ random *within* each block of the current blocking result; it is
 attribute by mapping every source value to the target value with the
 highest co-occurrence among the aligned pairs. The map's cost (psi = 2n)
 is the yardstick induced functions must beat to be kept as extensions, and
-it is the fallback Finalize uses to resolve MAP_MARKER attributes.
+it is the fallback Finalize uses for the attributes no induced function
+explains.
 """
 from __future__ import annotations
 

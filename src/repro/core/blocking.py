@@ -2,9 +2,12 @@
 
 Decided attributes of a search state define a *blocking index* per record:
 source records are projected through their assigned functions (vectorized
-pandas UDFs), target records through their raw values. Records with equal
-indices share a block. ``with_block_key`` keys both snapshots under a state
-in one call and is the only code that writes the key format. Everything the
+pandas UDFs), target records through their raw values. The key ``__bk`` is
+the projected tuple itself, an ``array<string>``; Spark compares such
+arrays element by element, with null equal to null in grouping, joins and
+``IN``, so records with equal keys are exactly the records with equal
+projections (Def. 4.3). ``with_block_key`` keys both snapshots under a
+state in one call and is the only code that writes the key. Everything the
 search needs from the data reduces to aggregations over these keyed frames:
 
 * ``state_overlap``  — M(H) = sum over blocks of min(#source, #target);
@@ -15,18 +18,10 @@ search needs from the data reduces to aggregations over these keyed frames:
 * ``evaluate_pairs`` — one-pass evaluation of many candidate extensions
   (attribute, function): emits (attribute, block, transformed value) per
   candidate and source record, builds the per-attribute target histograms
-  once, and joins on those three columns — this is the exact form of the
-  §4.4.3 histogram-overlap ranking, fused with the Def. 4.6 cost
-  computation (see DESIGN.md note 4).
-
-Block keys and join values are text, and ``_encoded`` is the only code that
-turns a value into it: the escape byte 0x00 and the key separator 0x1f are
-each prefixed with 0x00, and null becomes 0x00 followed by ``N``. In the
-result every 0x00 starts a two-character pair and every unpaired 0x1f
-separates two values, so a key reads back to exactly one tuple of values,
-null included: equal keys mean equal projections, as Def. 4.3's blocks and
-the Prop. 3.6 bijection require. A value holding neither byte encodes as
-itself.
+  once, and joins on the attribute and the refined key (the block's key
+  with the value appended) — this is the exact form of the §4.4.3
+  histogram-overlap ranking, fused with the Def. 4.6 cost computation (see
+  DESIGN.md note 4).
 
 Every seeded draw of the search is built here too: ``mixed`` (records of
 blocks the other side has), ``rank_in_blocks``, ``pair_in_blocks`` (§4.3's
@@ -38,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql.types import StringType
 
@@ -60,14 +55,6 @@ __all__ = [
 
 BK = "__bk"
 RN = "__rn"
-SEP = "\x1f"
-NULL_SENT = "\x00N"
-
-
-def _encoded(c: Column) -> Column:
-    """The key and join text of a value, null included; injective (see the
-    module docstring)."""
-    return F.coalesce(F.regexp_replace(c, "([\x00\x1f])", "\x00$1"), F.lit(NULL_SENT))
 
 
 def _transform_udf(f: TransformFunction):
@@ -81,14 +68,14 @@ def _transform_udf(f: TransformFunction):
 
 def with_block_key(problem: Problem, state: SearchState) -> tuple[DataFrame, DataFrame]:
     """Both snapshots with the blocking-index column ``__bk`` under
-    ``state`` (Def. 4.3): source values flow through the assigned
-    functions, target values are used raw. States with no decided attribute
-    put every record in one block (empty key). This is the only code that
-    writes the key format."""
+    ``state`` (Def. 4.3): the array of the decided attributes' values, in
+    attribute order, source values through the assigned functions and
+    target values raw. States with no decided attribute put every record in
+    one block (the empty array). This is the only code that writes the
+    key."""
     decided = [(problem.attrs[i], f) for i, f in state.decided()]
-    s_cols = [_encoded(_transform_udf(f)(F.col(a))) for a, f in decided]
-    t_cols = [_encoded(F.col(a)) for a, _ in decided]
-    s_key, t_key = F.concat_ws(SEP, *s_cols), F.concat_ws(SEP, *t_cols)
+    s_key = F.array(*[_transform_udf(f)(F.col(a)) for a, f in decided])
+    t_key = F.array(*[F.col(a) for a, _ in decided])
     return problem.source.withColumn(BK, s_key), problem.target.withColumn(BK, t_key)
 
 
@@ -157,11 +144,11 @@ def evaluate_pairs(
     """Exact overlap M(H + {attr_i := f_i}) for every candidate extension.
 
     One source-side mapInPandas emits ``(candidate, attr, __bk, val)``
-    rows, the refined block of each candidate as the state's block plus the
-    transformed value; per-attribute target histograms over ``(attr, __bk,
-    val)`` are built once from the melted target and joined on those
-    columns, both ``val`` columns encoded by ``_encoded``. The result is M
-    for each pair, aligned with the input order.
+    rows. A candidate's refined block is the state's block plus the
+    transformed value, so both sides group on the refined key
+    ``array_append(__bk, val)``: the source per candidate, the melted
+    target once per attribute. The histograms join on ``(attr, key)``. The
+    result is M for each pair, aligned with the input order.
     """
     if not pairs:
         return []
@@ -176,20 +163,21 @@ def evaluate_pairs(
                     {"cand": ci, "attr": a, BK: pdf[BK], "val": f.apply_series(pdf[a])}
                 )
 
+    refined = F.array_append(BK, F.col("val")).alias("key")
     src_counts = (
         s_keyed.select(BK, *needed)
-        .mapInPandas(gen, f"cand int, attr string, {BK} string, val string")
-        .groupBy("cand", "attr", BK, _encoded(F.col("val")).alias("val"))
+        .mapInPandas(gen, f"cand int, attr string, {BK} array<string>, val string")
+        .groupBy("cand", "attr", refined)
         .agg(F.count("*").alias("__sc"))
     )
     tgt_counts = (
         t_keyed.unpivot([BK], needed, "attr", "val")
-        .groupBy("attr", BK, _encoded(F.col("val")).alias("val"))
+        .groupBy("attr", refined)
         .agg(F.count("*").alias("__tc"))
     )
 
     rows = (
-        src_counts.join(tgt_counts, ["attr", BK, "val"])
+        src_counts.join(tgt_counts, ["attr", "key"])
         .groupBy("cand")
         .agg(F.sum(F.least("__sc", "__tc")).alias("m"))
         .collect()

@@ -40,10 +40,11 @@ BASE_SUPPORT = 5  # ">= 5 times", as in stats.sample_size_for_support
 @dataclass
 class ExampleSample:
     """Sampled target records plus the (capped) distinct source values of
-    their blocks, for a set of attributes."""
+    their blocks, for a set of attributes. A block key, an array in Spark,
+    reads back as a tuple."""
 
-    targets: list[dict]  # each: {attr: value, BK: key}
-    block_source_values: dict[str, dict[str, list]]  # bk -> attr -> values
+    targets: list[dict]  # each: {attr: value, BK: key tuple}
+    block_source_values: dict[tuple, dict[str, list]]  # key tuple -> attr -> values
 
 
 def sample_examples(
@@ -62,19 +63,20 @@ def sample_examples(
     sampled = draw(mixed_tgt, k, seed).collect()
     if not sampled:
         return ExampleSample([], {})
-    bks = sorted({r[BK] for r in sampled})
+    bks = list(dict.fromkeys(tuple(r[BK]) for r in sampled))
 
-    src = s_keyed.where(F.col(BK).isin(bks)).select(BK, *attrs)
+    keys = [F.array(*map(F.lit, bk)) for bk in bks]
+    src = s_keyed.where(F.col(BK).isin(*keys)).select(BK, *attrs)
     src_rows = (
         rank_in_blocks(src, seed + 1).where(F.col(RN) <= MAX_BLOCK_ROWS).collect()
     )
-    block_vals: dict[str, dict[str, list]] = {bk: {a: [] for a in attrs} for bk in bks}
+    block_vals: dict[tuple, dict[str, list]] = {bk: {a: [] for a in attrs} for bk in bks}
     for r in src_rows:
         for a in attrs:
-            vals = block_vals[r[BK]][a]  # at most MAX_BLOCK_ROWS values
+            vals = block_vals[tuple(r[BK])][a]  # at most MAX_BLOCK_ROWS values
             if r[a] is not None and r[a] not in vals:
                 vals.append(r[a])
-    targets = [{**{a: r[a] for a in attrs}, BK: r[BK]} for r in sampled]
+    targets = [{**{a: r[a] for a in attrs}, BK: tuple(r[BK])} for r in sampled]
     return ExampleSample(targets, block_vals)
 
 

@@ -1,8 +1,8 @@
 """Bounded level priority queue of §4.6.
 
 Level i (states with i decided attributes) holds at most max(1, width-i+1)
-states. A full level accepts a new state only if it is not worse than every
-state currently on the level, evicting the worst to make room. ``poll``
+states. A full level rejects a new state only if it is worse than the
+level's worst state; otherwise the worst is evicted to make room. ``poll``
 returns the globally cheapest state; ties are broken in favour of states
 with more assignments (deeper levels first), as in the paper.
 """
@@ -35,8 +35,8 @@ class BoundedLevelQueue:
         return sum(len(v) for v in self._levels.values())
 
     def push(self, item: Any, cost: float, level: int) -> bool:
-        """Insert; returns False if rejected because the level is full of
-        strictly better states."""
+        """Insert; returns False if rejected because the level is full and
+        its worst state is strictly better."""
         entries = self._levels.setdefault(level, [])
         cap = self.capacity(level)
         if len(entries) >= cap:

@@ -6,8 +6,9 @@ explanation's core pairs use the id, and so does the Hs start state, which
 breaks overlap-score ties by the lowest target id (DESIGN.md §2).
 
 A ``SearchState`` is the paper's H: one slot per attribute holding either
-UNDECIDED ('*'), MAP_MARKER (the square: a value mapping will be resolved
-in Finalize), or a concrete ``TransformFunction``.
+UNDECIDED ('*') or a concrete ``TransformFunction``. The paper's square
+(a value mapping to resolve in Finalize) is never stored: the search
+finalizes the attributes it would mark at once (DESIGN.md note 6).
 
 State cost (Def. 4.6, with the typography fixed so that it coincides with
 Def. 3.10 on end states — see DESIGN.md):
@@ -28,10 +29,9 @@ from pyspark.sql import DataFrame, SparkSession
 
 from .functions import TransformFunction
 
-__all__ = ["UNDECIDED", "MAP_MARKER", "Problem", "SearchState", "RID"]
+__all__ = ["UNDECIDED", "Problem", "SearchState", "RID"]
 
 UNDECIDED = "*"
-MAP_MARKER = "□"  # the paper's square marker
 RID = "__rid"
 
 
@@ -67,7 +67,7 @@ class SearchState:
     """H in the search lattice; ``cost``/``overlap`` are filled in by the
     search once the state has been evaluated against the data."""
 
-    assignments: tuple  # per attribute: UNDECIDED | MAP_MARKER | TransformFunction
+    assignments: tuple  # per attribute: UNDECIDED | TransformFunction
     cost: float = float("inf")
     overlap: int = 0  # M(H)
 
@@ -78,9 +78,6 @@ class SearchState:
 
     def undecided_indices(self) -> list[int]:
         return [i for i, h in enumerate(self.assignments) if h == UNDECIDED]
-
-    def marker_indices(self) -> list[int]:
-        return [i for i, h in enumerate(self.assignments) if h == MAP_MARKER]
 
     def decided(self) -> list[tuple[int, TransformFunction]]:
         """(attribute index, function) for slots holding concrete functions."""
@@ -99,8 +96,7 @@ class SearchState:
         return sum(f.psi for _, f in self.decided())
 
     def extend(self, index: int, value) -> "SearchState":
-        """Assign ``value`` to an UNDECIDED or MAP_MARKER slot (Finalize
-        replaces markers with greedy maps one after another)."""
+        """Assign ``value`` to an UNDECIDED slot."""
         if isinstance(self.assignments[index], TransformFunction):
             raise ValueError(f"slot {index} already holds a function")
         a = list(self.assignments)

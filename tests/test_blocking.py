@@ -94,9 +94,11 @@ def test_cs_minus_delta_equals_ct(problem, spark):
     """DESIGN.md note 2: blocks partition S and T, hence cs - Delta = ct."""
     state = SearchState((Identity(), UNDECIDED, UNDECIDED))
     s, t = with_block_key(problem, state)
-    sc = s.groupBy(BK).count().toPandas().set_index(BK)["count"]
-    tc = t.groupBy(BK).count().toPandas().set_index(BK)["count"]
-    keys = set(sc.index) | set(tc.index)
+    sc, tc = (
+        {tuple(r[BK]): r["count"] for r in df.groupBy(BK).count().collect()}
+        for df in (s, t)
+    )
+    keys = set(sc) | set(tc)
     cs = sum(max(0, sc.get(k, 0) - tc.get(k, 0)) for k in keys)
     ct = sum(max(0, tc.get(k, 0) - sc.get(k, 0)) for k in keys)
     delta = len(SRC) - len(TGT)
@@ -162,8 +164,8 @@ def _assert_ab_overlap(spark, m, src_rows, tgt_rows, attrs):
     )
 
 
-# A value holding the key separator "\x1f": the tuples share no (a, b)
-# group, and the encoded keys differ because the value's "\x1f" is escaped.
+# A value holding the byte "\x1f" (a common text separator): the tuples
+# share no (a, b) group, so no block may join them.
 SEP_SRC = [("x\x1fy", "z")]
 SEP_TGT = [("x", "y\x1fz")]
 
@@ -193,9 +195,9 @@ def test_core_size_separator_in_values(sep_problem, spark):
     _assert_ab_overlap(spark, e.core_size, SEP_SRC, SEP_TGT, ["a", "b"])
 
 
-# Ordinary values next to the key separator, the escape byte and "\x00N"
-# (the text null is written as): keys and join values must still read back
-# to one tuple each.
+# Ordinary values next to a separator byte, a NUL byte, "\x00N" and the
+# empty string: a block is the tuple of values, null included, whatever
+# characters they hold.
 ODD_VALUES = ["x", "y", "", "\x1f", "\x00", "\x00N", None]
 _value = st.sampled_from(ODD_VALUES)
 _rows = st.lists(st.tuples(_value, _value), max_size=8)
@@ -207,6 +209,7 @@ _first_fn = st.one_of(st.builds(ConstantValue, _text), st.builds(Prefixing, _tex
 @given(src=_rows, tgt=_rows, f=_first_fn)
 @example(src=[("\x00N", "x")], tgt=[(None, "x")], f=Prefixing(""))
 @example(src=[("\x1f", "")], tgt=[("", "\x1f")], f=Prefixing(""))
+@example(src=[(None, "")], tgt=[("", None)], f=Prefixing(""))
 def test_overlaps_match_tuple_grouping(spark, src, tgt, f):
     """M(H) under (f, id), the overlap of the extension a := f from (*, id)
     and the Prop. 3.6 core size under (f, id) all equal DuckDB's overlap

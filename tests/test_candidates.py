@@ -44,6 +44,19 @@ def test_sample_examples_empty_when_no_mixed_blocks(spark):
     assert sample.targets == [] and sample.block_source_values == {}
 
 
+def test_sample_examples_null_keyed_block(spark):
+    """A block keyed on null reads back as a tuple holding None, and its
+    source values are found; the empty-string block is another block."""
+    src = [(None, "1"), (None, "2"), ("", "3"), ("x", "4")]
+    tgt = [(None, "9"), ("y", "8")]
+    p = make_problem(spark, ATTRS, src, tgt)
+    s, t = with_block_key(p, SearchState((Identity(), UNDECIDED)))
+    sample = sample_examples(s, t, ["v"], k=5, seed=0)
+    assert sample.targets == [{"v": "9", BK: (None,)}]
+    assert list(sample.block_source_values) == [(None,)]
+    assert sorted(sample.block_source_values[(None,)]["v"]) == ["1", "2"]
+
+
 def test_scaled_support():
     assert scaled_support(100, 89) == 5
     assert scaled_support(89, 89) == 5

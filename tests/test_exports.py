@@ -1,8 +1,7 @@
 """Every module of the package imports, every name it lists in
 ``__all__`` resolves, no module, test, job or conftest.py imports a name
-it never uses, only blocking.py names the key format's constants, and
-every name the benchmark's tracer wraps exists (no Spark session
-needed)."""
+it never uses, and every name the benchmark's tracer wraps exists (no
+Spark session needed)."""
 import ast
 import importlib
 import importlib.util
@@ -83,53 +82,6 @@ def test_unused_import_check_flags_a_stray_name():
 def test_no_unused_imports(path):
     unused = _unused_imports(path.read_text())
     assert not unused, f"{path.name} imports names it never uses: {unused}"
-
-
-FORMAT_NAMES = {"SEP", "NULL_SENT"}
-FORMAT_HOME = Path(repro.__file__).parent / "core" / "blocking.py"
-
-
-def _format_leaks(source: str, home: bool) -> list[str]:
-    """References to the key format's constants outside their one home.
-    Outside blocking.py (``home`` false) any ``SEP`` or ``NULL_SENT`` counts;
-    inside it, ``NULL_SENT`` anywhere but its definition and ``_encoded``."""
-    leaks: list[str] = []
-
-    def visit(node: ast.AST, func: str | None) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        name = (
-            node.id if isinstance(node, ast.Name)
-            else node.attr if isinstance(node, ast.Attribute)
-            else node.name if isinstance(node, ast.alias)
-            else None
-        )
-        if name in FORMAT_NAMES:
-            defined = func is None and isinstance(getattr(node, "ctx", None), ast.Store)
-            if not home or (name == "NULL_SENT" and not defined and func != "_encoded"):
-                leaks.append(f"{name} (line {node.lineno})")
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(ast.parse(source), None)
-    return leaks
-
-
-def test_format_check_flags_a_stray_reference():
-    stray = "from .blocking import SEP\nx = blocking.NULL_SENT\n"
-    assert _format_leaks(stray, home=False) == ["SEP (line 1)", "NULL_SENT (line 2)"]
-    blocking_py = (
-        'SEP = "a"\nNULL_SENT = "b"\n'
-        "def _encoded(c):\n    return NULL_SENT\n"
-        "def key():\n    return SEP + NULL_SENT\n"
-    )
-    assert _format_leaks(blocking_py, home=True) == ["NULL_SENT (line 6)"]
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=_path_id)
-def test_key_format_has_one_home(path):
-    leaks = _format_leaks(path.read_text(), home=path == FORMAT_HOME)
-    assert not leaks, f"{path.name} names the key format outside _encoded: {leaks}"
 
 
 def test_trace_layers_resolve():

@@ -45,11 +45,22 @@ def test_full_level_rejects_strictly_worse():
 
 
 def test_full_level_accepts_equal():
-    """Paper: 'accepts a new state if it is not worse than all states'."""
+    """A state as good as the level's worst is accepted."""
     q = BoundedLevelQueue(width=1)
     q.push("a", 3.0, 1)
     assert q.push("b", 3.0, 1)
     assert len(q) == 1
+
+
+def test_full_level_accepts_better_than_worst():
+    """A full level takes a state better than its worst alone, not only one
+    better than every state on it, and evicts the worst."""
+    q = BoundedLevelQueue(width=2)  # level 1 holds 2
+    q.push("best", 1.0, 1)
+    q.push("worst", 3.0, 1)
+    assert q.push("middle", 2.0, 1)
+    assert len(q) == 2
+    assert [q.poll(), q.poll()] == ["best", "middle"]
 
 
 def test_levels_independent():

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.functions import Addition, Identity, ValueMapping
-from repro.core.state import MAP_MARKER, UNDECIDED, SearchState, state_cost
+from repro.core.state import UNDECIDED, SearchState, state_cost
 
 
 def _st(*assignments):
@@ -10,20 +10,18 @@ def _st(*assignments):
 
 
 def test_level_counts_non_undecided():
-    s = _st(UNDECIDED, Identity(), MAP_MARKER, Addition(1.0))
-    assert s.level == 3
+    s = _st(UNDECIDED, Identity(), UNDECIDED, Addition(1.0))
+    assert s.level == 2
 
 
 def test_undecided_and_marker_indices():
-    s = _st(UNDECIDED, Identity(), MAP_MARKER, UNDECIDED)
+    s = _st(UNDECIDED, Identity(), Addition(1.0), UNDECIDED)
     assert s.undecided_indices() == [0, 3]
-    assert s.marker_indices() == [2]
 
 
 def test_is_end_requires_all_functions():
     assert _st(Identity(), Addition(1.0)).is_end
     assert not _st(Identity(), UNDECIDED).is_end
-    assert not _st(Identity(), MAP_MARKER).is_end
 
 
 def test_cf_sums_psi():
@@ -32,7 +30,7 @@ def test_cf_sums_psi():
 
 
 def test_extend_undecided_and_marker():
-    s = _st(UNDECIDED, MAP_MARKER)
+    s = _st(UNDECIDED, UNDECIDED)
     s2 = s.extend(0, Identity()).extend(1, ValueMapping(()))
     assert s2.is_end
     with pytest.raises(ValueError):
