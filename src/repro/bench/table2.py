@@ -29,6 +29,7 @@ from statistics import fmean
 from pyspark.sql import SparkSession
 
 from ..core.affidavit import AffidavitConfig, run_affidavit
+from ..core.overlap_init import MAX_BLOCK_SIZE
 from .datasets import DATASETS, make_dataset
 from .instances import make_instance
 from .metrics import CellResult, evaluate_explanation
@@ -115,7 +116,7 @@ def scaled_block_threshold(dataset: str) -> int:
     """Hs max block size, scaled quadratically with the record count (pair
     counts grow with the product of the two value frequencies)."""
     spec = DATASETS[dataset]
-    t = 100_000 * (spec.bench_rows / spec.n_rows) ** 2
+    t = MAX_BLOCK_SIZE * (spec.bench_rows / spec.n_rows) ** 2
     return max(50, round(t))
 
 

@@ -1,7 +1,7 @@
 """Affidavit — Algorithm 1 of the paper, orchestrating the Spark substrate.
 
 Best-first search over partial attribute-function assignments. The driver
-holds only the bounded frontier (queue width rho); every data-proportional
+holds only the bounded frontier (queue width ϱ); every data-proportional
 step runs as a Spark DataFrame computation:
 
 * blocking index      -> blocking.with_block_key (both snapshots, one call
@@ -20,18 +20,19 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 
-from . import blocking
+from . import blocking, candidates
 from .alignment import greedy_map, greedy_maps_bulk, sample_random_alignment
 from .blocking import evaluate_pairs, indeterminacy, with_block_key
 from .candidates import induce_attr_candidates, sample_examples, scaled_support
 from .explanation import Explanation, explanation_from_state, trivial_explanation
 from .functions import Identity, TransformFunction
-from .overlap_init import overlap_start_state
+from .overlap_init import MAX_BLOCK_SIZE, overlap_start_state
 from .queue import BoundedLevelQueue
 from .state import UNDECIDED, Problem, SearchState, state_cost
-from .stats import sample_size_for_support
 
 __all__ = ["AffidavitConfig", "SearchDiagnostics", "run_affidavit"]
+
+MAX_POLLS = 1000  # the main loop's bound; reaching it is reported
 
 
 @dataclass
@@ -39,20 +40,16 @@ class AffidavitConfig:
     """Paper parameters (§5.2) plus implementation bounds.
 
     ``start``: 'id' (H^id), 'overlap' (H^s), or 'empty' (H^0).
-    ``beta``: branching factor; ``queue_width``: the paper's rho (queue
-    bound); ``theta``: estimated fraction of target records showing a
-    function's effect; ``confidence``: the paper's ρ.
+    ``beta``: branching factor; ``queue_width``: the paper's ϱ (queue
+    bound).
     """
 
     alpha: float = 0.5
     beta: int = 2
     queue_width: int = 5
-    theta: float = 0.1
-    confidence: float = 0.95
     start: str = "id"
-    max_block_size: int = 100_000
+    max_block_size: int = MAX_BLOCK_SIZE
     seed: int = 0
-    max_polls: int = 1000
 
 
 @dataclass
@@ -73,7 +70,6 @@ class _Search:
     def __init__(self, problem: Problem, config: AffidavitConfig):
         self.p = problem
         self.cfg = config
-        self.k = sample_size_for_support(config.theta, config.confidence)
         self.diag = SearchDiagnostics()
         self._seed_ctr = 0
 
@@ -123,9 +119,9 @@ class _Search:
                 s_keyed, t_keyed, und_names, seed=self._seed()
             ).cache()
             sample = sample_examples(
-                s_keyed, t_keyed, und_names, k=self.k, seed=self._seed()
+                s_keyed, t_keyed, und_names, k=candidates.SAMPLE_SIZE, seed=self._seed()
             )
-            support = scaled_support(len(sample.targets), self.k)
+            support = scaled_support(len(sample.targets), candidates.SAMPLE_SIZE)
 
             beta = self.cfg.beta
             for batch in [ordered[:beta]] + [[i] for i in ordered[beta:]]:
@@ -200,11 +196,11 @@ class _Search:
         seen: set = set()
         for st in self.init_start_states():
             seen.add(st.signature())
-            q.push(st, st.cost, st.level)
+            q.push(st)
             self.diag.start_states += 1
 
         end: SearchState | None = None
-        while len(q) and self.diag.polls < self.cfg.max_polls:
+        while len(q) and self.diag.polls < MAX_POLLS:
             h = q.poll()
             self.diag.polls += 1
             if h.is_end:
@@ -216,11 +212,14 @@ class _Search:
                     continue
                 seen.add(sig)
                 self.diag.generated += 1
-                q.push(ext, ext.cost, ext.level)
+                q.push(ext)
 
         if end is not None:
             self.diag.stop_reason = "end_state"
             expl = explanation_from_state(self.p, end)
+            if expl.core_size != end.overlap:  # a function was applied two ways
+                expl.core_pairs.unpersist()
+                raise RuntimeError(f"core {expl.core_size} != M(H) {end.overlap}")
         else:
             self.diag.stop_reason = "max_polls" if len(q) else "queue_empty"
             expl = trivial_explanation(self.p)

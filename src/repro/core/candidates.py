@@ -1,9 +1,9 @@
 """Candidate induction from noisy in-block examples (paper §4.4.2–4.4.3).
 
-Affidavit samples k distinct target records from *mixed* blocks (blocks
-containing both source and target records), where k is the smallest sample
-size for which a function visible in a theta-fraction of targets is
-generated >= 5 times with confidence rho (``stats.sample_size_for_support``).
+Affidavit samples k = ``SAMPLE_SIZE`` distinct target records from *mixed*
+blocks (blocks containing both source and target records): the smallest
+sample in which a function visible in a ``THETA`` share of targets is
+generated >= ``BASE_SUPPORT`` times with confidence ``CONFIDENCE``.
 For every sampled target record and attribute, candidate functions are
 induced from each source value in the same block; a candidate's *support*
 is the number of distinct sampled targets that generated it. Candidates
@@ -23,6 +23,7 @@ from pyspark.sql import functions as F
 
 from .blocking import BK, RN, draw, mixed, rank_in_blocks
 from .functions import TransformFunction, induce_candidates
+from .stats import sample_size_for_support
 
 __all__ = [
     "ExampleSample",
@@ -34,7 +35,10 @@ __all__ = [
 
 MAX_BLOCK_ROWS = 50  # source rows read per sampled block
 MAX_CANDIDATES = 24  # candidates kept per attribute, by support
-BASE_SUPPORT = 5  # ">= 5 times", as in stats.sample_size_for_support
+BASE_SUPPORT = 5  # a function must be generated ">= 5 times" (§4.4.2)
+THETA = 0.1  # share of targets showing a function's effect (every §5.2 run)
+CONFIDENCE = 0.95  # the paper's rho (every §5.2 run)
+SAMPLE_SIZE = sample_size_for_support(THETA, CONFIDENCE, BASE_SUPPORT)  # 89
 
 
 @dataclass

@@ -20,11 +20,13 @@ from pyspark.sql import functions as F
 from .functions import Identity
 from .state import RID, UNDECIDED, Problem, SearchState
 
-__all__ = ["overlap_start_state"]
+__all__ = ["MAX_BLOCK_SIZE", "overlap_start_state"]
+
+MAX_BLOCK_SIZE = 100_000  # §5.2's Hs bound on a value's source x target pairs
 
 
 def overlap_start_state(
-    problem: Problem, *, max_block_size: int = 100_000
+    problem: Problem, *, max_block_size: int = MAX_BLOCK_SIZE
 ) -> SearchState:
     """Compute Hs. Falls back to the all-undecided state when no value
     overlap survives the block-size threshold."""

@@ -74,22 +74,18 @@ class SearchState:
     @property
     def level(self) -> int:
         """Lattice level = number of non-undecided slots."""
-        return sum(1 for h in self.assignments if h != UNDECIDED)
+        return len(self.assignments) - len(self.undecided_indices())
 
     def undecided_indices(self) -> list[int]:
         return [i for i, h in enumerate(self.assignments) if h == UNDECIDED]
 
     def decided(self) -> list[tuple[int, TransformFunction]]:
         """(attribute index, function) for slots holding concrete functions."""
-        return [
-            (i, h)
-            for i, h in enumerate(self.assignments)
-            if isinstance(h, TransformFunction)
-        ]
+        return [(i, h) for i, h in enumerate(self.assignments) if h != UNDECIDED]
 
     @property
     def is_end(self) -> bool:
-        return all(isinstance(h, TransformFunction) for h in self.assignments)
+        return not self.undecided_indices()
 
     def cf(self) -> int:
         """Description length of the assigned functions (Def. 3.9 analogue)."""
@@ -97,7 +93,7 @@ class SearchState:
 
     def extend(self, index: int, value) -> "SearchState":
         """Assign ``value`` to an UNDECIDED slot."""
-        if isinstance(self.assignments[index], TransformFunction):
+        if self.assignments[index] != UNDECIDED:
             raise ValueError(f"slot {index} already holds a function")
         a = list(self.assignments)
         a[index] = value
@@ -108,10 +104,7 @@ class SearchState:
 
     def signature(self) -> tuple:
         """Hashable identity for duplicate elimination in the search."""
-        return tuple(
-            h.signature() if isinstance(h, TransformFunction) else h
-            for h in self.assignments
-        )
+        return tuple(h if h == UNDECIDED else h.signature() for h in self.assignments)
 
 
 def mdl_cost(n_attrs: int, n_inserted: int, psi: int, alpha: float) -> float:

@@ -26,10 +26,10 @@ def binom_sf(n: int, k: int, p: float) -> float:
     return 1.0 - sum(binom_pmf(n, i, p) for i in range(min(k, n + 1)))
 
 
-def sample_size_for_support(theta: float, rho: float, support: int = 5) -> int:
+def sample_size_for_support(theta: float, rho: float, support: int) -> int:
     """Smallest k such that P(Binomial(k, theta) >= support) >= rho.
 
-    With the paper's defaults theta=0.1, rho=0.95 this is 89.
+    With the paper's theta=0.1, rho=0.95 and support 5 this is 89.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")

@@ -1,5 +1,7 @@
 """End-to-end searches (Algorithm 1) on the paper's running example and on
 controlled miniature instances."""
+import dataclasses
+
 import pytest
 
 from repro.bench.running_example import (
@@ -57,7 +59,10 @@ def test_running_example_diagnostics(i1_result):
     _, diag = i1_result
     assert diag.end_state is not None and diag.end_state.is_end
     assert diag.stop_reason == "end_state"
-    assert diag.polls >= 1
+    # I1's work for seed 1, the same at 8 and 64 shuffle partitions: the
+    # guard that the poll order holds
+    assert diag.polls == 27
+    assert diag.generated == 39
     assert diag.start_states == 7  # one per attribute for H^id
 
 
@@ -117,12 +122,13 @@ def test_empty_start_runs(spark):
     assert expl.core_size == 8
 
 
-def test_max_polls_stop_is_reported(spark):
-    """A search cut by ``max_polls`` says so and returns E_empty."""
+def test_max_polls_stop_is_reported(spark, monkeypatch):
+    """A search cut by ``MAX_POLLS`` says so and returns E_empty."""
     rows = [(f"k{i}", f"v{i % 3}") for i in range(6)]
     p = make_problem(spark, ["k", "v"], rows, rows)
+    monkeypatch.setattr(affidavit, "MAX_POLLS", 1)
     expl, diag = run_affidavit(
-        p, AffidavitConfig(start="id", beta=1, queue_width=1, seed=0, max_polls=1)
+        p, AffidavitConfig(start="id", beta=1, queue_width=1, seed=0)
     )
     assert diag.polls == 1
     assert diag.stop_reason == "max_polls"
@@ -151,6 +157,27 @@ def test_failed_poll_releases_its_cache(spark, monkeypatch):
     monkeypatch.setattr(affidavit, "evaluate_pairs", fail)
     with pytest.raises(RuntimeError, match="evaluate_pairs failed"):
         run_affidavit(p, AffidavitConfig(start="empty", beta=1, queue_width=1))
+    assert persistent().size() == before
+
+
+def test_end_state_core_must_match_its_overlap(spark, monkeypatch):
+    """An end state whose stored M(H) differs from its Prop. 3.6 core is an
+    error, and the core pairs already cached are released."""
+    real = affidavit.explanation_from_state
+
+    def off_by_one(problem, state):
+        expl = real(problem, state)
+        return dataclasses.replace(expl, core_size=expl.core_size + 1)
+
+    # rows no other test uses: Spark shares one cache entry between equal
+    # plans, so another test's cached core pairs would be released too
+    rows = [(f"c{i}", f"w{i % 2}") for i in range(10)]
+    p = make_problem(spark, ["k", "v"], rows, rows)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    monkeypatch.setattr(affidavit, "explanation_from_state", off_by_one)
+    with pytest.raises(RuntimeError, match=r"core 11 != M\(H\) 10"):
+        run_affidavit(p, AffidavitConfig(start="id", beta=1, queue_width=1, seed=0))
     assert persistent().size() == before
 
 

@@ -91,7 +91,7 @@ def test_hs_on_i1_ignores_row_order(spark):
 @pytest.mark.xfail(
     strict=True,
     reason="ties of the a-priori alignment are broken by target record id "
-    "(asc(t_rid)), so relabelling the ids changes Hs (ROADMAP item 2)",
+    "(asc(t_rid)), so relabelling the ids changes Hs (ROADMAP item 3)",
 )
 def test_hs_on_i1_ignores_record_ids(spark):
     p = _i1(spark, np.random.default_rng(304), relabel=True)

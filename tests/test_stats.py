@@ -33,12 +33,12 @@ def test_sample_size_paper_defaults():
 
 
 def test_sample_size_larger_theta_needs_fewer():
-    assert sample_size_for_support(0.5, 0.95) < sample_size_for_support(0.1, 0.95)
+    assert sample_size_for_support(0.5, 0.95, 5) < sample_size_for_support(0.1, 0.95, 5)
 
 
 def test_sample_size_validation():
     with pytest.raises(ValueError):
-        sample_size_for_support(0.0, 0.95)
+        sample_size_for_support(0.0, 0.95, 5)
     with pytest.raises(ValueError):
-        sample_size_for_support(0.1, 1.0)
+        sample_size_for_support(0.1, 1.0, 5)
 
