@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame
 
 from . import blocking, candidates
 from .alignment import greedy_map, greedy_maps_bulk, sample_random_alignment
-from .blocking import evaluate_pairs, indeterminacy, with_block_key
+from .blocking import evaluate_pairs, indeterminacy, persisted, with_block_key
 from .candidates import induce_attr_candidates, sample_examples, scaled_support
 from .explanation import Explanation, explanation_from_state, trivial_explanation
 from .functions import Identity, TransformFunction
@@ -108,36 +108,30 @@ class _Search:
     # ------------------------------------------------------------------
     def extensions(self, h: SearchState) -> list[SearchState]:
         attrs = self.p.attrs
-        s_keyed, t_keyed = (df.cache() for df in with_block_key(self.p, h))
-        aligned = None
-        try:
+        with persisted(*with_block_key(self.p, h)) as (s_keyed, t_keyed):
             und = h.undecided_indices()
             und_names = [attrs[i] for i in und]
             ind = indeterminacy(s_keyed, t_keyed, und_names)
             ordered = sorted(und, key=lambda i: (ind.get(attrs[i], float("inf")), i))
-            aligned = sample_random_alignment(
-                s_keyed, t_keyed, und_names, seed=self._seed()
-            ).cache()
-            sample = sample_examples(
-                s_keyed, t_keyed, und_names, k=candidates.SAMPLE_SIZE, seed=self._seed()
-            )
-            support = scaled_support(len(sample.targets), candidates.SAMPLE_SIZE)
-
-            beta = self.cfg.beta
-            for batch in [ordered[:beta]] + [[i] for i in ordered[beta:]]:
-                exts = self._extend_batch(
-                    h, batch, s_keyed, t_keyed, aligned, sample, support
+            with persisted(
+                sample_random_alignment(s_keyed, t_keyed, und_names, seed=self._seed())
+            ) as (aligned,):
+                sample = sample_examples(
+                    s_keyed, t_keyed, und_names,
+                    k=candidates.SAMPLE_SIZE, seed=self._seed(),
                 )
-                if exts:
-                    return exts
-            # Every batch failed, so every undecided attribute needs a value
-            # mapping: finalize them (Algorithm 1's last branch).
-            return [self.finalize(h, und)]
-        finally:
-            s_keyed.unpersist()
-            t_keyed.unpersist()
-            if aligned is not None:
-                aligned.unpersist()
+                support = scaled_support(len(sample.targets), candidates.SAMPLE_SIZE)
+
+                beta = self.cfg.beta
+                for batch in [ordered[:beta]] + [[i] for i in ordered[beta:]]:
+                    exts = self._extend_batch(
+                        h, batch, s_keyed, t_keyed, aligned, sample, support
+                    )
+                    if exts:
+                        return exts
+                # Every batch failed: finalize every undecided attribute with
+                # a value mapping (Algorithm 1's last branch), in this scope.
+                return [self.finalize(h, und)]
 
     def _extend_batch(
         self,
@@ -192,6 +186,8 @@ class _Search:
     # ------------------------------------------------------------------
     def run(self) -> tuple[Explanation, SearchDiagnostics]:
         t0 = time.perf_counter()
+        persistent = self.p.spark.sparkContext._jsc.getPersistentRDDs
+        cached = persistent().size()
         q = BoundedLevelQueue(self.cfg.queue_width)
         seen: set = set()
         for st in self.init_start_states():
@@ -214,6 +210,14 @@ class _Search:
                 self.diag.generated += 1
                 q.push(ext)
 
+        # Each cache the search opens ends with its scope. Another count
+        # means one was left open, or a release dropped an entry another
+        # frame shared (Spark keeps one cache entry per plan).
+        if persistent().size() != cached:
+            raise RuntimeError(
+                f"search began with {cached} persisted RDDs"
+                f" and ended with {persistent().size()}"
+            )
         if end is not None:
             self.diag.stop_reason = "end_state"
             expl = explanation_from_state(self.p, end)

@@ -30,7 +30,8 @@ and ``draw``.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, Window
@@ -51,6 +52,7 @@ __all__ = [
     "indeterminacy",
     "evaluate_pairs",
     "state_overlap",
+    "persisted",
 ]
 
 BK = "__bk"
@@ -186,3 +188,13 @@ def evaluate_pairs(
     for r in rows:
         out[r["cand"]] = int(r["m"])
     return out
+
+
+@contextmanager
+def persisted(*frames: DataFrame) -> Iterator[tuple[DataFrame, ...]]:
+    """Cache ``frames`` for a ``with`` block; unpersist them on exit, even on error."""
+    try:
+        yield tuple(df.cache() for df in frames)
+    finally:
+        for df in frames:
+            df.unpersist()

@@ -8,6 +8,7 @@ the i-th target record. Under the end state F^E every attribute is decided,
 so the block key is the full transformed tuple and this bijection is
 ``blocking.pair_in_blocks`` over the record ids. Unmatched source records
 are deletions (S^E-), unmatched target records insertions (T^E+).
+``core_pairs`` is cached, the one cache to outlive a search; the caller unpersists it.
 
 Costs (Def. 3.10, ``state.mdl_cost``): c(E) = 2*alpha*|A|*|T^E+| +
 2*(1-alpha)*sum_a psi(f_a).

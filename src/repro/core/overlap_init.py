@@ -17,6 +17,7 @@ from __future__ import annotations
 from pyspark.sql import Window
 from pyspark.sql import functions as F
 
+from .blocking import persisted
 from .functions import Identity
 from .state import RID, UNDECIDED, Problem, SearchState
 
@@ -44,44 +45,36 @@ def overlap_start_state(
         .where((F.col("__sc") * F.col("__tc")) <= max_block_size)
         .select("attr", "val")
     )
-    contrib = (
+    with persisted(
         s_melt.withColumnRenamed(RID, "s_rid")
         .join(allowed, ["attr", "val"])
         .join(t_melt.withColumnRenamed(RID, "t_rid"), ["attr", "val"])
         .select("s_rid", "t_rid", "attr")
-    ).cache()
-    best = None
-    try:
+    ) as (contrib,):
         scores = contrib.groupBy("s_rid", "t_rid").agg(F.count("*").alias("score"))
         w = Window.partitionBy("s_rid").orderBy(F.desc("score"), F.asc("t_rid"))
-        best = (
+        with persisted(
             scores.withColumn("__r", F.row_number().over(w))
             .where(F.col("__r") == 1)
             .select("s_rid", "t_rid", "score")
-        ).cache()
-        mode_row = (
-            best.groupBy("score")
-            .agg(F.count("*").alias("__n"))
-            .orderBy(F.desc("__n"), F.desc("score"))
-            .first()
-        )
-        if mode_row is None:
-            return SearchState(tuple(UNDECIDED for _ in attrs))
-        k_prime = int(mode_row["score"])
-        attr_freq = (
-            contrib.join(best.select("s_rid", "t_rid"), ["s_rid", "t_rid"])
-            .groupBy("attr")
-            .agg(F.count("*").alias("__n"))
-            .orderBy(F.desc("__n"), F.asc("attr"))
-            .limit(k_prime)
-            .collect()
-        )
-        a_id = {r["attr"] for r in attr_freq}
-        assignments = tuple(
-            Identity() if a in a_id else UNDECIDED for a in attrs
-        )
-        return SearchState(assignments)
-    finally:
-        contrib.unpersist()
-        if best is not None:
-            best.unpersist()
+        ) as (best,):
+            mode_row = (
+                best.groupBy("score")
+                .agg(F.count("*").alias("__n"))
+                .orderBy(F.desc("__n"), F.desc("score"))
+                .first()
+            )
+            if mode_row is None:
+                return SearchState(tuple(UNDECIDED for _ in attrs))
+            attr_freq = (
+                contrib.join(best.select("s_rid", "t_rid"), ["s_rid", "t_rid"])
+                .groupBy("attr")
+                .agg(F.count("*").alias("__n"))
+                .orderBy(F.desc("__n"), F.asc("attr"))
+                .limit(int(mode_row["score"]))  # k'
+                .collect()
+            )
+            a_id = {r["attr"] for r in attr_freq}
+            return SearchState(
+                tuple(Identity() if a in a_id else UNDECIDED for a in attrs)
+            )

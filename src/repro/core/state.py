@@ -45,6 +45,8 @@ class Problem:
     attrs: list[str]
 
     def __post_init__(self):
+        if RID not in self.source.columns or RID not in self.target.columns:
+            raise ValueError(f"both snapshots need the record id column {RID!r}")
         for a in self.attrs:
             if a not in self.source.columns or a not in self.target.columns:
                 raise ValueError(f"attribute {a!r} missing from a snapshot")

@@ -1,6 +1,7 @@
 """End-to-end searches (Algorithm 1) on the paper's running example and on
 controlled miniature instances."""
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,8 @@ from repro.bench.running_example import (
     E1_INSERTED,
     running_example_problem,
 )
-from repro.core import AffidavitConfig, affidavit, run_affidavit
+from repro.core import AffidavitConfig, affidavit, blocking, overlap_init, run_affidavit
+from repro.core.blocking import evaluate_pairs, state_overlap, with_block_key
 from repro.core.functions import (
     ConstantValue,
     Identity,
@@ -28,12 +30,72 @@ def i1(spark):
     return running_example_problem(spark)
 
 
-@pytest.fixture(scope="module")
-def i1_result(i1):
-    """The flagship run: H^id configuration of §5.2 on Figure 1's I1."""
-    return run_affidavit(
-        i1, AffidavitConfig(start="id", beta=2, queue_width=5, seed=1)
+def _pandas_overlap(attrs, s_pdf, t_pdf, state) -> int:
+    """M(H) from pandas copies of the snapshots: the sum over blocks of
+    min(#s, #t), a block being the tuple of projected values (None equal to
+    None), source values through each function's scalar ``apply``."""
+    decided = [(attrs[i], f) for i, f in state.decided()]
+    s_blocks = Counter(
+        tuple(f.apply(r[a]) for a, f in decided) for r in s_pdf.to_dict("records")
     )
+    t_blocks = Counter(
+        tuple(r[a] for a, _ in decided) for r in t_pdf.to_dict("records")
+    )
+    return sum(min(n, t_blocks[k]) for k, n in s_blocks.items())
+
+
+@pytest.fixture(scope="module")
+def i1_oracle(i1):
+    """M(H) on I1 in pandas, from copies of the snapshots taken before any
+    search."""
+    s_pdf, t_pdf = i1.source.toPandas(), i1.target.toPandas()
+    return lambda state: _pandas_overlap(i1.attrs, s_pdf, t_pdf, state)
+
+
+@pytest.fixture(scope="module")
+def i1_overlaps():
+    """What ``i1_result`` records: every overlap its search computes, as
+    (name, Spark M, pandas M); how many ``evaluate_pairs`` calls there were
+    and were checked; and each keyed source frame's state, by the frame's
+    ``id`` (the frame is kept, so its id is not reused)."""
+    return {"records": [], "evaluate_calls": 0, "evaluate_checked": 0, "keyed": {}}
+
+
+@pytest.fixture(scope="module")
+def i1_result(i1, i1_oracle, i1_overlaps):
+    """The flagship run: H^id configuration of §5.2 on Figure 1's I1, with
+    its overlaps shadowed by pandas. The wrappers start no Spark action."""
+    keyed = i1_overlaps["keyed"]
+
+    def keying(problem, state):
+        s, t = with_block_key(problem, state)
+        keyed[id(s)] = (s, state)
+        return s, t
+
+    def candidates(problem, s_keyed, t_keyed, pairs):
+        got = evaluate_pairs(problem, s_keyed, t_keyed, pairs)
+        i1_overlaps["evaluate_calls"] += 1
+        if id(s_keyed) in keyed:
+            i1_overlaps["evaluate_checked"] += 1
+            state = keyed[id(s_keyed)][1]
+            i1_overlaps["records"] += [
+                ("evaluate_pairs", m, i1_oracle(state.extend(i, f)))
+                for m, (i, f) in zip(got, pairs)
+            ]
+        return got
+
+    def overlap(problem, state):
+        m = state_overlap(problem, state)
+        i1_overlaps["records"].append(("state_overlap", m, i1_oracle(state)))
+        return m
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(affidavit, "with_block_key", keying)
+        mp.setattr(affidavit, "evaluate_pairs", candidates)
+        mp.setattr(blocking, "state_overlap", overlap)
+        return run_affidavit(
+            i1, AffidavitConfig(start="id", beta=2, queue_width=5, seed=1)
+        )
 
 
 def test_running_example_matches_e1_cost(i1_result):
@@ -64,6 +126,24 @@ def test_running_example_diagnostics(i1_result):
     assert diag.polls == 27
     assert diag.generated == 39
     assert diag.start_states == 7  # one per attribute for H^id
+
+
+def test_running_example_overlaps_match_pandas(
+    i1, i1_oracle, i1_result, i1_overlaps
+):
+    """Every M(H) and M(H + f) the I1 search computed equals its pandas
+    value, and every ``evaluate_pairs`` call was checked. The search calls
+    ``state_overlap`` only on finalized states, whose blocks may all hold
+    as many source as target records, so after the search it is also
+    checked on every state the search keyed."""
+    keyed = {st.signature(): st for _, st in i1_overlaps["keyed"].values()}
+    records = i1_overlaps["records"] + [
+        ("state_overlap", state_overlap(i1, st), i1_oracle(st))
+        for st in keyed.values()
+    ]
+    assert {name for name, _, _ in records} == {"evaluate_pairs", "state_overlap"}
+    assert [r for r in records if r[1] != r[2]] == []
+    assert i1_overlaps["evaluate_checked"] == i1_overlaps["evaluate_calls"] > 0
 
 
 def test_identical_snapshots_identity_solution(spark):
@@ -158,6 +238,49 @@ def test_failed_poll_releases_its_cache(spark, monkeypatch):
     with pytest.raises(RuntimeError, match="evaluate_pairs failed"):
         run_affidavit(p, AffidavitConfig(start="empty", beta=1, queue_width=1))
     assert persistent().size() == before
+
+
+def test_failed_hs_start_releases_its_caches(spark, monkeypatch):
+    """An Hs start that raises once ``contrib`` and ``best`` are cached and
+    read unpersists both."""
+
+    def fail(*args):
+        raise RuntimeError("Hs failed")
+
+    src = [(f"h{i}", f"x{i % 2}") for i in range(8)]
+    tgt = [(f"h{i}", f"x{(i + 1) % 2}") for i in range(8)]
+    p = make_problem(spark, ["k", "v"], src, tgt)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    monkeypatch.setattr(overlap_init, "SearchState", fail)
+    with pytest.raises(RuntimeError, match="Hs failed"):
+        overlap_init.overlap_start_state(p)
+    assert persistent().size() == before
+
+
+def test_search_that_leaves_a_cache_raises(spark, monkeypatch):
+    """A poll that leaves a frame cached makes the search raise, naming the
+    persisted-RDD counts before and after."""
+    leaked = []
+    real = affidavit._Search.extensions
+
+    def leaky(self, h):
+        leaked.append(self.p.source.cache())
+        leaked[-1].count()
+        return real(self, h)
+
+    rows = [(f"l{i}", f"u{i % 3}") for i in range(6)]
+    p = make_problem(spark, ["k", "v"], rows, rows)
+    before = spark.sparkContext._jsc.getPersistentRDDs().size()
+    monkeypatch.setattr(affidavit._Search, "extensions", leaky)
+    try:
+        with pytest.raises(
+            RuntimeError, match=f"began with {before} .* ended with {before + 1}"
+        ):
+            run_affidavit(p, AffidavitConfig(start="id", beta=1, queue_width=1))
+    finally:
+        for df in leaked:
+            df.unpersist()
 
 
 def test_end_state_core_must_match_its_overlap(spark, monkeypatch):

@@ -1,7 +1,8 @@
 """Every module of the package imports, every name it lists in
 ``__all__`` resolves, no module, test, job or conftest.py imports a name
-it never uses, and every name the benchmark's tracer wraps exists (no
-Spark session needed)."""
+it never uses, every name the benchmark's tracer wraps exists, and
+``repro.core`` opens and releases Spark caches only where it may (no Spark
+session needed)."""
 import ast
 import importlib
 import importlib.util
@@ -82,6 +83,51 @@ def test_unused_import_check_flags_a_stray_name():
 def test_no_unused_imports(path):
     unused = _unused_imports(path.read_text())
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+CACHE_CALLS = {"cache", "persist", "unpersist"}
+# Where repro.core may open or release a Spark cache: the one scope, the
+# caller-owned Prop. 3.6 pairs, and their release on a core mismatch.
+CACHE_SITES = {
+    "blocking.persisted",
+    "explanation.explanation_from_functions",
+    "affidavit._Search.run",
+}
+
+
+def _cache_sites(source: str, module: str) -> set[str]:
+    """``module.qualname`` of every function (or ``module`` for top-level
+    code) that calls ``.cache()``, ``.persist()`` or ``.unpersist()``."""
+    sites: set[str] = set()
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in CACHE_CALLS
+            ):
+                sites.add(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_cache_site_check_names_the_function():
+    src = "class A:\n    def f(self, df):\n        df.cache()\ndf.persist()\n"
+    assert _cache_sites(src, "m") == {"m.A.f", "m"}
+
+
+def test_core_caches_open_in_one_scope():
+    """Inside ``repro.core`` a frame is cached or released only by
+    ``blocking.persisted``, except the pairs an explanation hands over."""
+    core = sorted((Path(repro.__file__).parent / "core").glob("*.py"))
+    sites = set().union(*(_cache_sites(p.read_text(), p.stem) for p in core))
+    assert sites <= CACHE_SITES, f"caches outside one scope: {sites - CACHE_SITES}"
 
 
 def test_trace_layers_resolve():

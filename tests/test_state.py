@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.functions import Addition, Identity, ValueMapping
-from repro.core.state import UNDECIDED, SearchState, state_cost
+from repro.core.state import RID, UNDECIDED, Problem, SearchState, state_cost
 
 
 def _st(*assignments):
@@ -71,3 +71,11 @@ def test_state_cost_formula():
 def test_state_cost_alpha_zero_only_functions():
     p = _FakeProblem()
     assert state_cost(p, cf=7, overlap=0, alpha=0.0) == 14
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_problem_needs_record_ids(spark, side):
+    df = spark.createDataFrame([("a", 0)], f"x string, {RID} bigint")
+    frames = {"source": df, "target": df, side: df.drop(RID)}
+    with pytest.raises(ValueError, match=RID):
+        Problem(spark, frames["source"], frames["target"], ["x"])
