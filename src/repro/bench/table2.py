@@ -166,8 +166,6 @@ def run_cell(
         expl, _diag = run_affidavit(inst.problem, cfg)
         t = time.perf_counter() - t0
         results.append(evaluate_explanation(inst, expl, runtime_s=t, alpha=cfg.alpha))
-        if expl.core_pairs is not None:
-            expl.core_pairs.unpersist()
     return CellRow(
         dataset=dataset,
         setting=setting,

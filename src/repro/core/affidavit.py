@@ -41,7 +41,8 @@ class AffidavitConfig:
 
     ``start``: 'id' (H^id), 'overlap' (H^s), or 'empty' (H^0).
     ``beta``: branching factor; ``queue_width``: the paper's ϱ (queue
-    bound).
+    bound). A value out of range raises ``ValueError`` here, before any
+    search.
     """
 
     alpha: float = 0.5
@@ -50,6 +51,15 @@ class AffidavitConfig:
     start: str = "id"
     max_block_size: int = MAX_BLOCK_SIZE
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.alpha <= 1:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        for name in ("beta", "queue_width", "max_block_size"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.start not in ("id", "overlap", "empty"):
+            raise ValueError(f"unknown start strategy {self.start!r}")
 
 
 @dataclass
@@ -98,8 +108,6 @@ class _Search:
             st = overlap_start_state(self.p, max_block_size=self.cfg.max_block_size)
             if st.decided():
                 return [self._scored(st, blocking.state_overlap(self.p, st))]
-        elif self.cfg.start != "empty":
-            raise ValueError(f"unknown start strategy {self.cfg.start!r}")
         # H0, and Hs when nothing survived its threshold: a single block
         return [self._scored(empty, min(self.p.n_source, self.p.n_target))]
 
@@ -186,8 +194,8 @@ class _Search:
     # ------------------------------------------------------------------
     def run(self) -> tuple[Explanation, SearchDiagnostics]:
         t0 = time.perf_counter()
-        persistent = self.p.spark.sparkContext._jsc.getPersistentRDDs
-        cached = persistent().size()
+        cache_manager = self.p.spark._jsparkSession.sharedState().cacheManager()
+        cached = cache_manager.numCachedEntries()
         q = BoundedLevelQueue(self.cfg.queue_width)
         seen: set = set()
         for st in self.init_start_states():
@@ -210,23 +218,23 @@ class _Search:
                 self.diag.generated += 1
                 q.push(ext)
 
-        # Each cache the search opens ends with its scope. Another count
-        # means one was left open, or a release dropped an entry another
-        # frame shared (Spark keeps one cache entry per plan).
-        if persistent().size() != cached:
-            raise RuntimeError(
-                f"search began with {cached} persisted RDDs"
-                f" and ended with {persistent().size()}"
-            )
         if end is not None:
             self.diag.stop_reason = "end_state"
             expl = explanation_from_state(self.p, end)
             if expl.core_size != end.overlap:  # a function was applied two ways
-                expl.core_pairs.unpersist()
                 raise RuntimeError(f"core {expl.core_size} != M(H) {end.overlap}")
         else:
             self.diag.stop_reason = "max_polls" if len(q) else "queue_empty"
             expl = trivial_explanation(self.p)
+        # Each cache the search opens ends with its scope. The count, read
+        # with no Spark job, includes plans cached but never read. Another
+        # count means one was left open, or a release dropped an entry
+        # another frame shared (Spark keeps one cache entry per plan).
+        if cache_manager.numCachedEntries() != cached:
+            raise RuntimeError(
+                f"search began with {cached} cached plans"
+                f" and ended with {cache_manager.numCachedEntries()}"
+            )
         self.diag.end_state = end
         self.diag.runtime_s = time.perf_counter() - t0
         return expl, self.diag

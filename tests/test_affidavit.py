@@ -4,6 +4,7 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from pyspark import StorageLevel
 
 from repro.bench.running_example import (
     E1_CORE_SIZE,
@@ -22,7 +23,7 @@ from repro.core.functions import (
     ValueMapping,
 )
 
-from .util import make_problem
+from .util import cached_plans, make_problem
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,22 @@ def test_unknown_start_raises(spark):
         run_affidavit(p, AffidavitConfig(start="bogus"))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", -1),
+        ("alpha", 1.5),
+        ("beta", 0),
+        ("queue_width", 0),
+        ("max_block_size", 0),
+        ("start", "bogus"),
+    ],
+)
+def test_bad_config_raises_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        AffidavitConfig(**{field: value})
+
+
 def test_failed_poll_releases_its_cache(spark, monkeypatch):
     """A poll that raises after the alignment is cached still unpersists
     it, with the keyed snapshots."""
@@ -232,46 +249,54 @@ def test_failed_poll_releases_its_cache(spark, monkeypatch):
 
     rows = [(f"k{i}", f"v{i % 3}") for i in range(6)]
     p = make_problem(spark, ["k", "v"], rows, rows)
-    persistent = spark.sparkContext._jsc.getPersistentRDDs
-    before = persistent().size()
+    before = cached_plans(spark)
     monkeypatch.setattr(affidavit, "evaluate_pairs", fail)
     with pytest.raises(RuntimeError, match="evaluate_pairs failed"):
         run_affidavit(p, AffidavitConfig(start="empty", beta=1, queue_width=1))
-    assert persistent().size() == before
+    assert cached_plans(spark) == before
 
 
-def test_failed_hs_start_releases_its_caches(spark, monkeypatch):
-    """An Hs start that raises once ``contrib`` and ``best`` are cached and
-    read unpersists both."""
+class _Failing:
+    """Raises on a call or on any attribute read."""
 
-    def fail(*args):
+    def __call__(self, *args):
         raise RuntimeError("Hs failed")
 
+    __getattr__ = __call__
+
+
+@pytest.mark.parametrize("name", ["Window", "SearchState"])
+def test_failed_hs_start_releases_its_caches(spark, monkeypatch, name):
+    """An Hs start that raises releases what it cached: through ``Window``
+    once ``contrib`` is cached but before any Spark action reads it, and
+    through ``SearchState`` once ``contrib`` and ``best`` are cached and
+    read."""
     src = [(f"h{i}", f"x{i % 2}") for i in range(8)]
     tgt = [(f"h{i}", f"x{(i + 1) % 2}") for i in range(8)]
     p = make_problem(spark, ["k", "v"], src, tgt)
-    persistent = spark.sparkContext._jsc.getPersistentRDDs
-    before = persistent().size()
-    monkeypatch.setattr(overlap_init, "SearchState", fail)
+    before = cached_plans(spark)
+    monkeypatch.setattr(overlap_init, name, _Failing())
     with pytest.raises(RuntimeError, match="Hs failed"):
         overlap_init.overlap_start_state(p)
-    assert persistent().size() == before
+    assert cached_plans(spark) == before
 
 
-def test_search_that_leaves_a_cache_raises(spark, monkeypatch):
-    """A poll that leaves a frame cached makes the search raise, naming the
-    persisted-RDD counts before and after."""
+@pytest.mark.parametrize("read", [True, False], ids=["read", "never_read"])
+def test_search_that_leaves_a_cache_raises(spark, monkeypatch, read):
+    """A poll that leaves a frame cached, read or not, makes the search
+    raise, naming the cached-plan counts before and after."""
     leaked = []
     real = affidavit._Search.extensions
 
     def leaky(self, h):
-        leaked.append(self.p.source.cache())
-        leaked[-1].count()
+        leaked.append(self.p.source.limit(1).cache())  # a plan no search reads
+        if read:
+            leaked[-1].count()
         return real(self, h)
 
     rows = [(f"l{i}", f"u{i % 3}") for i in range(6)]
     p = make_problem(spark, ["k", "v"], rows, rows)
-    before = spark.sparkContext._jsc.getPersistentRDDs().size()
+    before = cached_plans(spark)
     monkeypatch.setattr(affidavit._Search, "extensions", leaky)
     try:
         with pytest.raises(
@@ -285,23 +310,39 @@ def test_search_that_leaves_a_cache_raises(spark, monkeypatch):
 
 def test_end_state_core_must_match_its_overlap(spark, monkeypatch):
     """An end state whose stored M(H) differs from its Prop. 3.6 core is an
-    error, and the core pairs already cached are released."""
+    error, and the search leaves no cache behind."""
     real = affidavit.explanation_from_state
 
     def off_by_one(problem, state):
         expl = real(problem, state)
         return dataclasses.replace(expl, core_size=expl.core_size + 1)
 
-    # rows no other test uses: Spark shares one cache entry between equal
-    # plans, so another test's cached core pairs would be released too
     rows = [(f"c{i}", f"w{i % 2}") for i in range(10)]
     p = make_problem(spark, ["k", "v"], rows, rows)
-    persistent = spark.sparkContext._jsc.getPersistentRDDs
-    before = persistent().size()
+    before = cached_plans(spark)
     monkeypatch.setattr(affidavit, "explanation_from_state", off_by_one)
     with pytest.raises(RuntimeError, match=r"core 11 != M\(H\) 10"):
         run_affidavit(p, AffidavitConfig(start="id", beta=1, queue_width=1, seed=0))
-    assert persistent().size() == before
+    assert cached_plans(spark) == before
+
+
+def test_held_explanation_survives_a_second_search(spark):
+    """An explanation holds no cache: its core pairs stay uncached and read
+    back the same after a second search over equal snapshots, and each
+    search leaves the cached-plan count where it found it."""
+    # six distinct tuples, each twice, so the pairing within a block is drawn
+    src = [(f"e{i % 2}", f"d{i % 3}") for i in range(12)]
+    tgt = [(f"e{i % 2}", f"D{i % 3}") for i in range(12)]
+    cfg = AffidavitConfig(start="id", beta=1, queue_width=1, seed=0)
+    before = cached_plans(spark)
+    first, _ = run_affidavit(make_problem(spark, ["k", "v"], src, tgt), cfg)
+    assert cached_plans(spark) == before
+    pairs = sorted(first.core_pairs.collect())
+    assert len(pairs) == first.core_size == 12
+    run_affidavit(make_problem(spark, ["k", "v"], src, tgt), cfg)
+    assert cached_plans(spark) == before
+    assert sorted(first.core_pairs.collect()) == pairs
+    assert first.core_pairs.storageLevel == StorageLevel.NONE
 
 
 def test_poll_batches_then_finalizes(spark, monkeypatch):

@@ -190,7 +190,6 @@ def test_state_overlap_separator_in_values(sep_problem, spark):
 
 def test_core_size_separator_in_values(sep_problem, spark):
     e = explanation_from_functions(sep_problem, (Identity(), Identity()))
-    e.core_pairs.unpersist()
     assert e.core_size == 0
     _assert_ab_overlap(spark, e.core_size, SEP_SRC, SEP_TGT, ["a", "b"])
 
@@ -220,7 +219,6 @@ def test_overlaps_match_tuple_grouping(spark, src, tgt, f):
         p, *with_block_key(p, SearchState((UNDECIDED, Identity()))), [(0, f)]
     )
     e = explanation_from_functions(p, (f, Identity()))
-    e.core_pairs.unpersist()
     assert m == m_ext == e.core_size
     moved = [(f.apply(a), b) for a, b in src]
     _assert_ab_overlap(spark, m, moved, tgt, ["a", "b"])

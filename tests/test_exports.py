@@ -86,13 +86,8 @@ def test_no_unused_imports(path):
 
 
 CACHE_CALLS = {"cache", "persist", "unpersist"}
-# Where repro.core may open or release a Spark cache: the one scope, the
-# caller-owned Prop. 3.6 pairs, and their release on a core mismatch.
-CACHE_SITES = {
-    "blocking.persisted",
-    "explanation.explanation_from_functions",
-    "affidavit._Search.run",
-}
+# Where repro.core may open or release a Spark cache: the one scope.
+CACHE_SITES = {"blocking.persisted"}
 
 
 def _cache_sites(source: str, module: str) -> set[str]:
@@ -124,7 +119,7 @@ def test_cache_site_check_names_the_function():
 
 def test_core_caches_open_in_one_scope():
     """Inside ``repro.core`` a frame is cached or released only by
-    ``blocking.persisted``, except the pairs an explanation hands over."""
+    ``blocking.persisted``."""
     core = sorted((Path(repro.__file__).parent / "core").glob("*.py"))
     sites = set().union(*(_cache_sites(p.read_text(), p.stem) for p in core))
     assert sites <= CACHE_SITES, f"caches outside one scope: {sites - CACHE_SITES}"

@@ -17,6 +17,8 @@ from repro.bench.table2 import (
 )
 from repro.core.candidates import CONFIDENCE, SAMPLE_SIZE, THETA
 
+from .util import cached_plans
+
 
 def test_paper_table_complete():
     assert set(PAPER) == set(DATASETS)
@@ -58,12 +60,12 @@ def test_scaled_block_threshold():
 
 
 def test_run_cell_smoke(spark):
-    persisted = spark.sparkContext._jsc.getPersistentRDDs().size()
+    before = cached_plans(spark)
     row = run_cell(
         spark, "iris", (0.3, 0.3), "Hs", n_instances=1, seed=5, n_rows=120
     )
-    # the cell releases what its search and explanation cached
-    assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
+    # the cell's search releases every cache it opened
+    assert cached_plans(spark) == before
     assert row.dataset == "iris" and row.config == "Hs"
     assert row.measured.t > 0
     assert row.measured.dcosts > 0 and 0 <= row.measured.acc <= 1

@@ -4,6 +4,12 @@ import pandas as pd
 from repro.core.state import RID, Problem
 
 
+def cached_plans(spark) -> int:
+    """The session's cached plans, read or not, counted through the JVM
+    with no Spark job."""
+    return spark._jsparkSession.sharedState().cacheManager().numCachedEntries()
+
+
 def make_problem(spark, attrs, source_rows, target_rows) -> Problem:
     """Build a Problem from lists of value tuples (strings or None)."""
     s = pd.DataFrame(source_rows, columns=attrs, dtype="object")
